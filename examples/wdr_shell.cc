@@ -3,9 +3,9 @@
 //
 // Usage:
 //   wdr_shell [--mode=saturation|reformulation|backward|datalog|none|auto]
-//             [--backend=ordered|flat|sharded] [--shards=N] [--threads=N]
-//             [--query-threads=N] [--plan] [--encoding=on|off] [--explain]
-//             [--script=FILE] [--serve=PORT] [--listen=PORT] [file.ttl ...]
+//             [--backend=ordered|flat] [--threads=N] [--query-threads=N]
+//             [--plan] [--encoding=on|off] [--explain] [--script=FILE]
+//             [--serve=PORT] [--listen=PORT] [file.ttl ...]
 //
 // With --listen=PORT (or `.listen PORT` at the prompt) the shell starts
 // the concurrent query server on the loaded data and — when stdin is not
@@ -19,11 +19,7 @@
 //                       routes each query through the online selector)
 //   .why                last auto-mode routing decision with its per-route
 //                       cost estimates
-//   .backend ENGINE     switch storage engine (ordered|flat|sharded) at
-//                       run time
-//   .shards N           re-partition the sharded backend to N shards
-//                       (deferred while scans are open; answers are
-//                       identical at any shard count)
+//   .backend ENGINE     switch storage engine (ordered|flat) at run time
 //   .threads N          saturation worker threads for closure builds
 //   .qthreads N         worker threads for union-query branches
 //   .plan on|off        cost-based physical plans (hash joins, batching)
@@ -95,6 +91,21 @@ std::unique_ptr<wdr::server::Server> g_query_server;
 // --explain: print the operator tree after every query.
 bool g_explain = false;
 
+// Thread counts for --threads=/--query-threads= and .threads/.qthreads:
+// the whole text must be a number in [1, kMaxThreads] (the server's SET
+// threads= cap), so "4x" or an int-overflowing value is rejected.
+constexpr long kMaxThreads = 1024;
+
+bool ParseThreadCount(const char* text, int* threads) {
+  char* end = nullptr;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || value < 1 || value > kMaxThreads) {
+    return false;
+  }
+  *threads = static_cast<int>(value);
+  return true;
+}
+
 bool ParseMode(const std::string& name, ReasoningMode* mode) {
   if (name == "saturation") {
     *mode = ReasoningMode::kSaturation;
@@ -125,11 +136,9 @@ void PrintHelp() {
                "saturation|reformulation|backward|datalog|none|auto\n"
                "  .why                  last auto-mode routing decision "
                "(estimates per route)\n"
-               "  .backend ENGINE       ordered|flat|sharded storage engine\n"
-               "  .shards N             re-partition the sharded backend to N "
-               "shards (N >= 1)\n"
-               "  .threads N            saturation worker threads (N >= 1)\n"
-               "  .qthreads N           union-branch query threads (N >= 1)\n"
+               "  .backend ENGINE       ordered|flat storage engine\n"
+               "  .threads N            saturation worker threads (1..1024)\n"
+               "  .qthreads N           union-branch query threads (1..1024)\n"
                "  .plan on|off          cost-based physical plans (hash "
                "joins)\n"
                "  .encoding on|off      hierarchy-aware id encoding "
@@ -179,18 +188,6 @@ void PrintStats(const ReasoningStore& store) {
             << "  effective (with closure): " << store.effective_size()
             << "  mode: " << ReasoningModeName(store.mode()) << "  backend: "
             << wdr::rdf::StorageBackendName(store.backend()) << "\n";
-  if (const wdr::rdf::ShardedStore* sharded = store.sharded_store()) {
-    std::cout << "shards: " << sharded->shard_count() << " ("
-              << wdr::rdf::StorageBackendName(sharded->shard_backend())
-              << ")  sizes:";
-    for (size_t size : sharded->ShardSizes()) std::cout << " " << size;
-    std::cout << "  schema: " << sharded->schema_store().size()
-              << "  skew: " << sharded->SkewRatio();
-    if (sharded->pending_shard_count() != 0) {
-      std::cout << "  pending: " << sharded->pending_shard_count();
-    }
-    std::cout << "\n";
-  }
   const wdr::obs::MetricsSnapshot snapshot =
       wdr::obs::MetricsRegistry::Get().Snapshot();
   for (const auto& [name, value] : snapshot.counters) {
@@ -244,10 +241,6 @@ bool StartListen(const ReasoningStore& store, int port) {
   options.query.threads = store.query_threads();
   options.saturation.threads = store.saturation_threads();
   options.encoding = store.encoding_enabled();
-  if (const wdr::rdf::ShardedStore* sharded = store.sharded_store()) {
-    options.shards = sharded->shard_count();
-    options.shard_backend = sharded->shard_backend();
-  }
   g_snapshot_store =
       std::make_unique<wdr::server::SnapshotStore>(options);
   auto loaded = g_snapshot_store->LoadTurtle(wdr::io::WriteTurtle(
@@ -372,47 +365,25 @@ bool RunCommand(ReasoningStore& store, const std::string& line) {
       std::cerr << "unknown backend '" << argument << "'\n";
       return false;
     }
-    if (command == ".shards") {
-      char* end = nullptr;
-      const long shards = std::strtol(argument.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || shards < 1) {
-        std::cerr << "usage: .shards N (N >= 1)\n";
-        return false;
-      }
-      if (!store.SetShardCount(static_cast<size_t>(shards))) {
-        std::cerr << "backend is not sharded (try .backend sharded)\n";
-        return false;
-      }
-      std::cout << "shards = " << store.shard_count();
-      const wdr::rdf::ShardedStore* sharded = store.sharded_store();
-      if (sharded != nullptr && sharded->pending_shard_count() != 0) {
-        std::cout << " (re-partition to " << sharded->pending_shard_count()
-                  << " deferred until open scans close)";
-      }
-      std::cout << "\n";
-      return true;
-    }
     if (command == ".threads") {
-      char* end = nullptr;
-      const long threads = std::strtol(argument.c_str(), &end, 10);
-      if (end != nullptr && *end == '\0' && threads >= 1) {
-        store.SetSaturationThreads(static_cast<int>(threads));
+      int threads = 0;
+      if (ParseThreadCount(argument.c_str(), &threads)) {
+        store.SetSaturationThreads(threads);
         std::cout << "saturation threads = " << store.saturation_threads()
                   << "\n";
         return true;
       }
-      std::cerr << "usage: .threads N (N >= 1)\n";
+      std::cerr << "usage: .threads N (1 <= N <= " << kMaxThreads << ")\n";
       return false;
     }
     if (command == ".qthreads") {
-      char* end = nullptr;
-      const long threads = std::strtol(argument.c_str(), &end, 10);
-      if (end != nullptr && *end == '\0' && threads >= 1) {
-        store.SetQueryThreads(static_cast<int>(threads));
+      int threads = 0;
+      if (ParseThreadCount(argument.c_str(), &threads)) {
+        store.SetQueryThreads(threads);
         std::cout << "query threads = " << store.query_threads() << "\n";
         return true;
       }
-      std::cerr << "usage: .qthreads N (N >= 1)\n";
+      std::cerr << "usage: .qthreads N (1 <= N <= " << kMaxThreads << ")\n";
       return false;
     }
     if (command == ".plan") {
@@ -606,8 +577,7 @@ void RunDemo(ReasoningStore& store) {
       "PREFIX ex: <http://ex.org/> "
       "SELECT ?x ?y WHERE { ?x rdf:type ?y . ?y rdfs:subClassOf ex:Mammal }",
       ".plan off",
-      ".backend sharded",
-      ".shards 2",
+      ".backend ordered",
       "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
       "PREFIX ex: <http://ex.org/> "
       "SELECT ?x WHERE { ?x rdf:type ex:Mammal }",
@@ -650,26 +620,16 @@ int main(int argc, char** argv) {
         std::cerr << "unknown backend in " << arg << "\n";
         return EXIT_FAILURE;
       }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      int shards = std::atoi(arg.substr(9).c_str());
-      if (shards < 1) {
-        std::cerr << "invalid shard count in " << arg << "\n";
-        return EXIT_FAILURE;
-      }
-      options.shards = static_cast<size_t>(shards);
-      // --shards implies the sharded backend; --backend=sharded alone uses
-      // the default shard count.
-      options.backend = wdr::rdf::StorageBackend::kSharded;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      int threads = std::atoi(arg.substr(10).c_str());
-      if (threads < 1) {
+      int threads = 0;
+      if (!ParseThreadCount(arg.c_str() + 10, &threads)) {
         std::cerr << "invalid thread count in " << arg << "\n";
         return EXIT_FAILURE;
       }
       options.saturation.threads = threads;
     } else if (arg.rfind("--query-threads=", 0) == 0) {
-      int threads = std::atoi(arg.substr(16).c_str());
-      if (threads < 1) {
+      int threads = 0;
+      if (!ParseThreadCount(arg.c_str() + 16, &threads)) {
         std::cerr << "invalid thread count in " << arg << "\n";
         return EXIT_FAILURE;
       }

@@ -103,8 +103,6 @@ class Executor {
   uint64_t triples = 0;
   uint64_t batches = 0;
   uint64_t hash_build_rows = 0;
-  uint64_t exchange_rows = 0;
-  uint64_t exchange_bytes = 0;
 
   bool RunNode(const PlanNode& node, obs::ProfileNode* profile,
                const BatchSink& sink) {
@@ -131,8 +129,6 @@ class Executor {
         return RunUnion(node, stats, sink);
       case OpKind::kLimit:
         return RunLimit(node, stats, sink);
-      case OpKind::kExchange:
-        return RunExchange(node, stats, sink);
     }
     return true;
   }
@@ -437,62 +433,6 @@ class Executor {
     return true;
   }
 
-  // Gather over a partitioned leaf scan. Rows stream through unchanged
-  // (the merged scan of a sharded store already interleaves partitions in
-  // index order); the exchange accounts which partition produced each row
-  // so the profile shows est-vs-actual per fragment, and totals feed the
-  // wdr.shard.exchange.* counters.
-  bool RunExchange(const PlanNode& node, obs::ProfileNode* stats,
-                   const BatchSink& sink) {
-    const PlanNode& child = *node.children[0];
-    const auto* part =
-        dynamic_cast<const PartitionedSource*>(sources_[node.source]);
-    // Row→fragment attribution from the child scan's partitioning column
-    // (slot 0, the subject): per-row when the column is emitted, whole-scan
-    // when it is a constant, totals only otherwise (subject dropped).
-    enum class Attr : uint8_t { kNone, kColumn, kConst };
-    Attr attr = Attr::kNone;
-    ColId attr_col = kNoColumn;
-    size_t const_frag = 0;
-    const size_t frags = node.fragment_est.size();
-    std::vector<uint64_t> frag_rows(frags, 0);
-    if (part != nullptr && frags != 0 && !child.alts.empty() &&
-        !child.alts[0].slots.empty()) {
-      const Slot& s0 = child.alts[0].slots[0];
-      if (s0.kind == Slot::Kind::kOutput) {
-        attr = Attr::kColumn;
-        attr_col = s0.col;
-      } else if (s0.kind == Slot::Kind::kConst) {
-        attr = Attr::kConst;
-        const_frag = part->PartitionOf(s0.value) % frags;
-      }
-    }
-    uint64_t rows = 0;
-    const bool keep = RunNode(child, stats, [&](Batch& in) {
-      rows += in.rows();
-      if (stats != nullptr) stats->rows += in.rows();
-      if (attr == Attr::kColumn) {
-        for (size_t r = 0; r < in.rows(); ++r) {
-          const size_t f = part->PartitionOf(in.at(attr_col, r));
-          if (f < frags) ++frag_rows[f];
-        }
-      } else if (attr == Attr::kConst) {
-        frag_rows[const_frag] += in.rows();
-      }
-      return sink(in);
-    });
-    exchange_rows += rows;
-    exchange_bytes += rows * node.width * sizeof(Value);
-    if (stats != nullptr) {
-      for (size_t i = 0; i < frags; ++i) {
-        obs::ProfileNode& f = stats->AddChild("fragment." + std::to_string(i));
-        f.est_rows = node.fragment_est[i];
-        f.rows = frag_rows[i];
-      }
-    }
-    return keep;
-  }
-
   bool RunLimit(const PlanNode& node, obs::ProfileNode* stats,
                 const BatchSink& sink) {
     size_t skipped = 0;
@@ -562,10 +502,6 @@ bool Run(const PlanNode& plan, const std::vector<const TupleSource*>& sources,
   WDR_COUNTER_ADD("wdr.exec.scans", executor.scans);
   WDR_COUNTER_ADD("wdr.exec.triples", executor.triples);
   WDR_COUNTER_ADD("wdr.exec.hash_build_rows", executor.hash_build_rows);
-  if (executor.exchange_rows != 0) {
-    WDR_COUNTER_ADD("wdr.shard.exchange.rows", executor.exchange_rows);
-    WDR_COUNTER_ADD("wdr.shard.exchange.bytes", executor.exchange_bytes);
-  }
   return ok;
 }
 

@@ -14,16 +14,6 @@ void RenderInto(const PlanNode& node, int depth, std::string& out) {
     std::snprintf(buffer, sizeof(buffer), "  (est %.0f rows)", node.est_rows);
     out += buffer;
   }
-  if (!node.fragment_est.empty()) {
-    out += "  fragments[";
-    for (size_t i = 0; i < node.fragment_est.size(); ++i) {
-      char buffer[32];
-      std::snprintf(buffer, sizeof(buffer), "%s%.0f", i == 0 ? "" : " ",
-                    node.fragment_est[i]);
-      out += buffer;
-    }
-    out += ']';
-  }
   out += '\n';
   for (const auto& child : node.children) RenderInto(*child, depth + 1, out);
 }
@@ -56,8 +46,6 @@ const char* OpKindName(OpKind kind) {
       return "union";
     case OpKind::kLimit:
       return "limit";
-    case OpKind::kExchange:
-      return "exchange";
   }
   return "?";
 }

@@ -25,7 +25,6 @@ enum class OpKind : uint8_t {
   kHashDedup,            // keep the first occurrence of each row
   kUnion,                // concatenate children (identical schemas)
   kLimit,                // skip `offset` rows, pass at most `limit`
-  kExchange,             // gather fragments of a partitioned scan (see below)
 };
 
 const char* OpKindName(OpKind kind);
@@ -110,12 +109,6 @@ struct PlanNode {
   // kLimit.
   size_t limit = SIZE_MAX;
   size_t offset = 0;
-
-  // kExchange: planner estimate of the rows each partition of the child
-  // scan contributes (one entry per partition). The executor reports the
-  // actual per-partition counts next to these in the profile, so EXPLAIN
-  // shows est-vs-actual per fragment.
-  std::vector<double> fragment_est;
 
   double est_rows = -1;  // planner cardinality estimate; <0 = unknown
   std::string label;     // human-readable operator description

@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "exec/source.h"
-
 namespace wdr::exec {
 namespace {
 
@@ -229,57 +227,6 @@ LoweredConjunct LowerConjunct(
   return out;
 }
 
-// Wraps a leaf scan of the planner's partitioned source in a kExchange
-// gather node with per-partition row estimates. Only single-alternative
-// leaves qualify (BGP and Datalog atoms; backward-chaining multi-alt
-// leaves mix patterns with different splits) and only when every slot is
-// decided at plan time (no kInput probes).
-std::unique_ptr<PlanNode> WrapExchange(std::unique_ptr<PlanNode> leaf,
-                                       const PlannerOptions& options) {
-  const PartitionedSource* part = options.partitioned;
-  if (part == nullptr || leaf->source != options.partitioned_source ||
-      leaf->alts.size() != 1 || part->PartitionCount() <= 1) {
-    return leaf;
-  }
-  const ScanAlt& alt = leaf->alts[0];
-  const size_t arity = alt.slots.size();
-  std::vector<Value> values(arity, 0);
-  std::vector<Value> values_hi(arity, 0);
-  std::vector<uint8_t> bound(arity, TupleSource::kUnbound);
-  for (size_t i = 0; i < arity; ++i) {
-    const Slot& slot = alt.slots[i];
-    switch (slot.kind) {
-      case Slot::Kind::kConst:
-        values[i] = slot.value;
-        bound[i] = TupleSource::kPoint;
-        break;
-      case Slot::Kind::kRange:
-        values[i] = slot.value;
-        values_hi[i] = slot.value2;
-        bound[i] = TupleSource::kRange;
-        break;
-      case Slot::Kind::kInput:
-        return leaf;  // per-row binding: split unknown while planning
-      case Slot::Kind::kOutput:
-      case Slot::Kind::kAny:
-        break;
-    }
-  }
-  auto exchange = std::make_unique<PlanNode>(OpKind::kExchange);
-  exchange->width = leaf->width;
-  exchange->est_rows = leaf->est_rows;
-  exchange->source = leaf->source;
-  const size_t parts = part->PartitionCount();
-  exchange->fragment_est.reserve(parts);
-  for (size_t i = 0; i < parts; ++i) {
-    exchange->fragment_est.push_back(part->EstimatePartition(
-        i, values.data(), values_hi.data(), bound.data()));
-  }
-  exchange->label = "exchange[" + leaf->label + "]";
-  exchange->children.push_back(std::move(leaf));
-  return exchange;
-}
-
 }  // namespace
 
 double StatisticsEstimator::Estimate(size_t /*source*/, const Value* values,
@@ -417,7 +364,7 @@ CompiledPlan PlanConjunctive(const ConjunctiveSpec& spec,
       node->est_rows = solo[pick];
       node->label = conjunct.label;
       for (const auto& [var, col] : lowered.produced) var_col[var] = col;
-      root = WrapExchange(std::move(node), options);
+      root = std::move(node);
       current_est = solo[pick];
       continue;
     }
@@ -470,7 +417,7 @@ CompiledPlan PlanConjunctive(const ConjunctiveSpec& spec,
         join->est_rows = current_est * pick_probe;
         join->label = "hash_join[" + conjunct.label + "]";
         join->children.push_back(std::move(root));
-        join->children.push_back(WrapExchange(std::move(build), options));
+        join->children.push_back(std::move(build));
         root = std::move(join);
         compiled.used_hash_join = true;
       }

@@ -23,8 +23,6 @@
 
 namespace wdr::exec {
 
-class PartitionedSource;  // source.h
-
 // Planning-time atom position: a constant, a variable (identified by an
 // arbitrary caller-chosen key), an ignored position, or an inclusive id
 // range (hierarchy-encoded reformulation; range positions bind nothing).
@@ -153,13 +151,6 @@ struct PlannerOptions {
   // few binary-search probes; a hash probe is the unit).
   double hash_build_cost = 1.5;
   double index_seek_cost = 4.0;
-  // When source index `partitioned_source` of the evaluation is
-  // horizontally partitioned (a sharded store), point `partitioned` at its
-  // PartitionedSource face: the planner then wraps full-table leaf scans
-  // of that source in kExchange gather nodes carrying per-partition row
-  // estimates, and the executor reports per-fragment actuals against them.
-  const PartitionedSource* partitioned = nullptr;
-  size_t partitioned_source = 0;
 };
 
 struct CompiledPlan {

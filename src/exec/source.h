@@ -112,33 +112,6 @@ class TupleSource {
   }
 };
 
-// Optional side-interface of a TupleSource whose tuples live in disjoint
-// horizontal partitions (e.g. a StoreSource over rdf::ShardedStore). A
-// source advertises it by additionally deriving from PartitionedSource;
-// the planner discovers it via dynamic_cast and wraps leaf scans of the
-// source in a kExchange node carrying per-partition row estimates, and
-// the executor attributes actual rows back to partitions with
-// PartitionOf. Purely observational: scans still stream the merged
-// relation, the exchange only accounts for which fragment produced what.
-class PartitionedSource {
- public:
-  virtual ~PartitionedSource() = default;
-
-  virtual size_t PartitionCount() const = 0;
-
-  // Partition owning tuples whose partitioning column equals `v` (for
-  // triple stores: the subject). Values of broadcast tuples (schema) get
-  // an owner too — attribution, not routing, so an arbitrary stable
-  // answer is fine.
-  virtual size_t PartitionOf(Value v) const = 0;
-
-  // Estimated tuples partition `i` contributes to the given pattern
-  // (same contract as TupleSource::EstimateRange).
-  virtual double EstimatePartition(size_t i, const Value* values,
-                                   const Value* values_hi,
-                                   const uint8_t* bound) const = 0;
-};
-
 // Adapter over any triple-store-shaped type exposing
 // EstimateCount(s, p, o) and Match(s, p, o, fn) with kNullTermId (0) as
 // the wildcard — rdf::StoreView and rdf::UnionStore both qualify.

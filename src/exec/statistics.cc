@@ -12,55 +12,7 @@ double PerPredicate(const PredicateStats& ps, bool s_bound, bool o_bound) {
   return est;
 }
 
-// Redistributes `hist` over [old_min, old_max] proportionally into
-// `out` over [new_min, new_max] (a superset interval).
-void RebinInto(const std::vector<uint32_t>& hist, Value old_min, Value old_max,
-               std::vector<uint32_t>& out, Value new_min, Value new_max) {
-  if (hist.empty()) return;
-  const double old_w =
-      (static_cast<double>(old_max) - old_min + 1) / hist.size();
-  const double new_w =
-      (static_cast<double>(new_max) - new_min + 1) / out.size();
-  for (size_t b = 0; b < hist.size(); ++b) {
-    if (hist[b] == 0) continue;
-    // Drop the whole old bucket into the new bucket holding its midpoint;
-    // finer splitting buys nothing at equal bucket counts.
-    const double mid = static_cast<double>(old_min) + old_w * (b + 0.5);
-    auto nb = static_cast<size_t>((mid - new_min) / new_w);
-    if (nb >= out.size()) nb = out.size() - 1;
-    out[nb] += hist[b];
-  }
-}
-
 }  // namespace
-
-void Statistics::Merge(const Statistics& other) {
-  total_ += other.total_;
-  for (const auto& [pred, theirs] : other.preds_) {
-    auto [it, inserted] = preds_.try_emplace(pred, theirs);
-    if (inserted) continue;
-    PredicateStats& ours = it->second;
-    ours.count += theirs.count;
-    ours.distinct_subjects += theirs.distinct_subjects;
-    ours.distinct_objects = std::min(
-        ours.count, ours.distinct_objects + theirs.distinct_objects);
-    if (theirs.obj_hist.empty()) continue;
-    if (ours.obj_hist.empty()) {
-      ours.obj_min = theirs.obj_min;
-      ours.obj_max = theirs.obj_max;
-      ours.obj_hist = theirs.obj_hist;
-      continue;
-    }
-    const Value mn = std::min(ours.obj_min, theirs.obj_min);
-    const Value mx = std::max(ours.obj_max, theirs.obj_max);
-    std::vector<uint32_t> merged(kObjectHistogramBuckets, 0);
-    RebinInto(ours.obj_hist, ours.obj_min, ours.obj_max, merged, mn, mx);
-    RebinInto(theirs.obj_hist, theirs.obj_min, theirs.obj_max, merged, mn, mx);
-    ours.obj_min = mn;
-    ours.obj_max = mx;
-    ours.obj_hist = std::move(merged);
-  }
-}
 
 double Statistics::Estimate(BoundMode s, BoundMode p, Value p_value,
                             BoundMode o) const {

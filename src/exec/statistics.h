@@ -87,17 +87,6 @@ class Statistics {
     return stats;
   }
 
-  // Folds another store's statistics into this one, for composing
-  // shard-local statistics into a global view without a merged O(store)
-  // pass. Counts add exactly. Distinct subjects add exactly under the
-  // sharded layout (a predicate's triples are either all in the schema
-  // store or subject-hash-partitioned, so per-member subject sets are
-  // disjoint); distinct objects can repeat across members, so their sum is
-  // capped at the predicate count (a bounded overcount that only softens
-  // 1/distinct selectivities). Object histograms are re-binned
-  // proportionally over the union [min, max] interval.
-  void Merge(const Statistics& other);
-
   uint64_t total_triples() const { return total_; }
   bool empty() const { return total_ == 0; }
   size_t distinct_predicates() const { return preds_.size(); }

@@ -20,7 +20,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rdf/dictionary.h"
-#include "rdf/sharded_store.h"
 
 namespace wdr::query {
 namespace {
@@ -627,41 +626,12 @@ void FillAtomProfile(obs::ProfileNode& parent, const BgpQuery& q,
 // single-threaded executor; parallel workers construct their own (the
 // underlying ScanCache itself is the thread-safe shared layer).
 template <typename Store>
-class CachedStoreSource final : public exec::TupleSource,
-                                public exec::PartitionedSource {
+class CachedStoreSource final : public exec::TupleSource {
  public:
   CachedStoreSource(const Store& store, ScanCache* cache, bool eager)
-      : store_(&store), cache_(cache), eager_(eager) {
-    if constexpr (std::is_base_of_v<rdf::StoreView, Store>) {
-      sharded_ = dynamic_cast<const rdf::ShardedStore*>(&store);
-    }
-  }
+      : store_(&store), cache_(cache), eager_(eager) {}
 
   size_t arity() const override { return 3; }
-
-  // PartitionedSource face, live when the store is sharded: the planner
-  // wraps full-table scans in exchange nodes against these per-shard
-  // estimates, and the executor attributes actual rows back with
-  // PartitionOf. Estimates cover the shard's instance triples; broadcast
-  // schema rows are attributed to their subject's hash owner at run time
-  // (a visible est-vs-actual gap only on schema-heavy scans).
-  size_t PartitionCount() const override {
-    return sharded_ == nullptr ? 1 : sharded_->shard_count();
-  }
-
-  size_t PartitionOf(exec::Value v) const override {
-    return sharded_ == nullptr ? 0 : sharded_->OwnerShard(v);
-  }
-
-  double EstimatePartition(size_t i, const exec::Value* values,
-                           const exec::Value* values_hi,
-                           const uint8_t* bound) const override {
-    if (sharded_ == nullptr) {
-      return EstimateRange(values, values_hi, bound);
-    }
-    return static_cast<double>(sharded_->shard(i).EstimateCountRange(
-        RangePlan(values, values_hi, bound)));
-  }
 
   double EstimateBound(const exec::Value* values,
                        const uint8_t* bound) const override {
@@ -792,8 +762,6 @@ class CachedStoreSource final : public exec::TupleSource,
   const Store* store_;  // not owned
   ScanCache* cache_;    // not owned; null = no caching
   bool eager_;
-  // Non-null iff the store is a ShardedStore (checked at construction).
-  const rdf::ShardedStore* sharded_ = nullptr;
   mutable std::vector<std::vector<Triple>> pool_;  // per-nesting tee buffers
   mutable size_t depth_ = 0;
 };
@@ -843,16 +811,6 @@ exec::CompiledPlan PlanBgpBranch(const Store& store, const BgpQuery& q,
     store_est.emplace(store);
     popts.estimator = &*store_est;
     popts.cost_based = false;
-  }
-  // Sharded stores expose their partition layout to the planner, which
-  // wraps leaf scans in exchange nodes with per-shard fragment estimates.
-  std::optional<CachedStoreSource<Store>> part_probe;
-  if constexpr (std::is_base_of_v<rdf::StoreView, Store>) {
-    if (dynamic_cast<const rdf::ShardedStore*>(&store) != nullptr) {
-      part_probe.emplace(store, nullptr, /*eager=*/true);
-      popts.partitioned = &*part_probe;
-      popts.partitioned_source = 0;
-    }
   }
   return exec::PlanConjunctive(spec, popts);
 }
@@ -1525,12 +1483,6 @@ size_t Evaluator::CountAnswers(const BgpQuery& q) const {
       store_est.emplace(*store_);
       popts.estimator = &*store_est;
       popts.cost_based = false;
-    }
-    std::optional<CachedStoreSource<rdf::StoreView>> part_probe;
-    if (dynamic_cast<const rdf::ShardedStore*>(store_) != nullptr) {
-      part_probe.emplace(*store_, nullptr, /*eager=*/true);
-      popts.partitioned = &*part_probe;
-      popts.partitioned_source = 0;
     }
     exec::CompiledPlan plan = exec::PlanConjunctive(spec, popts);
     if (plan.root != nullptr) {

@@ -29,19 +29,9 @@ void Graph::ApplyPermutation(const std::vector<TermId>& perm) {
   for (Triple& t : triples) {
     t = Triple(remap(t.s), remap(t.p), remap(t.o));
   }
-  // MakeEmpty (not MakeStore) so configured composite backends keep their
-  // layout; OnIdsPermuted remaps id-typed configuration (e.g. the
-  // broadcast-predicate set) before the remapped triples re-route.
-  std::unique_ptr<StoreView> replacement = store_->MakeEmpty();
-  replacement->OnIdsPermuted(perm);
+  std::unique_ptr<StoreView> replacement = MakeStore(backend_);
   replacement->InsertBatch(triples);
   store_ = std::move(replacement);
-}
-
-void Graph::AdoptStore(std::unique_ptr<StoreView> replacement) {
-  replacement->InsertBatch(store_->ToVector());
-  store_ = std::move(replacement);
-  backend_ = store_->backend();
 }
 
 bool Graph::Insert(const Term& s, const Term& p, const Term& o) {

@@ -60,11 +60,6 @@ class Graph {
   // backend is already `backend`.
   void SetBackend(StorageBackend backend);
 
-  // Replaces the store with a caller-configured (empty) one — e.g. a
-  // ShardedStore with a specific shard count and broadcast-predicate set —
-  // carrying the current triples over.
-  void AdoptStore(std::unique_ptr<StoreView> replacement);
-
   // Renumbers the whole graph under an old-id -> new-id bijection: the
   // dictionary (Dictionary::ApplyPermutation) and every stored triple,
   // rebuilt into a fresh store of the same backend. This is the rebuild

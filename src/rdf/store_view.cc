@@ -1,7 +1,6 @@
 #include "rdf/store_view.h"
 
 #include "rdf/flat_triple_store.h"
-#include "rdf/sharded_store.h"
 #include "rdf/triple_store.h"
 
 namespace wdr::rdf {
@@ -12,8 +11,6 @@ const char* StorageBackendName(StorageBackend backend) {
       return "ordered";
     case StorageBackend::kFlat:
       return "flat";
-    case StorageBackend::kSharded:
-      return "sharded";
   }
   return "unknown";
 }
@@ -23,8 +20,6 @@ bool ParseStorageBackend(std::string_view name, StorageBackend* backend) {
     *backend = StorageBackend::kOrdered;
   } else if (name == "flat") {
     *backend = StorageBackend::kFlat;
-  } else if (name == "sharded") {
-    *backend = StorageBackend::kSharded;
   } else {
     return false;
   }
@@ -82,18 +77,12 @@ std::vector<Triple> StoreView::ToVector() const {
   return out;
 }
 
-std::unique_ptr<StoreView> StoreView::MakeEmpty() const {
-  return MakeStore(backend());
-}
-
 std::unique_ptr<StoreView> MakeStore(StorageBackend backend) {
   switch (backend) {
     case StorageBackend::kOrdered:
       return std::make_unique<TripleStore>();
     case StorageBackend::kFlat:
       return std::make_unique<FlatTripleStore>();
-    case StorageBackend::kSharded:
-      return std::make_unique<ShardedStore>();
   }
   return std::make_unique<TripleStore>();
 }

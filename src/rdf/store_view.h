@@ -236,7 +236,6 @@ bool InvokeMatchFn(Fn&& fn, const Triple& t) {
 enum class StorageBackend {
   kOrdered,  // TripleStore: three node-based ordered sets, O(log n) updates
   kFlat,     // FlatTripleStore: flat sorted arrays + delta log, fast scans
-  kSharded,  // ShardedStore: subject-hash partitioned composite of the above
 };
 
 const char* StorageBackendName(StorageBackend backend);
@@ -244,7 +243,7 @@ bool ParseStorageBackend(std::string_view name, StorageBackend* backend);
 
 // The storage-engine seam: everything the reasoning, query, backward,
 // federation and store layers need from triple storage. Concrete layouts
-// (ordered sets, flat arrays, future columnar/sharded backends) live behind
+// (ordered sets, flat arrays, future columnar backends) live behind
 // this interface; no consumer outside src/rdf names a backend type on its
 // evaluation path.
 //
@@ -382,21 +381,6 @@ class StoreView {
 
   // Deep copy preserving the backend (used by Graph snapshots).
   virtual std::unique_ptr<StoreView> Clone() const = 0;
-
-  // Empty store with the same backend *and configuration* (shard count,
-  // partitioning rules, ...). Rebuild paths (Graph::ApplyPermutation,
-  // SaturatedGraph closures) must use this instead of MakeStore(backend())
-  // so configured composite backends survive the rebuild. The default
-  // covers configuration-free backends.
-  virtual std::unique_ptr<StoreView> MakeEmpty() const;
-
-  // Notifies the store that every TermId is about to be renumbered under
-  // `perm` (old id -> new id). Only *configuration* ids are remapped
-  // (e.g. the broadcast-predicate set of a sharded store); stored triples
-  // are the caller's job — the rebuild path constructs a MakeEmpty()
-  // replacement, calls OnIdsPermuted on it, then re-inserts the remapped
-  // triples. No-op for backends without id-typed configuration.
-  virtual void OnIdsPermuted(std::span<const TermId> perm) { (void)perm; }
 
   static constexpr size_t kMatchBatch = 64;
 };

@@ -105,13 +105,6 @@ class RuleEngine {
   bool IsOneStepDerivable(const rdf::StoreView& store,
                           const rdf::Triple& t) const;
 
-  // Introspection for the shard-local saturation dispatch: the OWL rules
-  // do instance-instance joins, so shard-local join views are only
-  // complete for the RDFS fragment; and the shard-local path requires the
-  // store's broadcast set to cover these constraint predicates.
-  bool owl_enabled() const { return enable_owl_; }
-  const schema::Vocabulary& vocab() const { return vocab_; }
-
  private:
   bool LiteralSubject(rdf::TermId id) const {
     return dict_ != nullptr && dict_->Contains(id) &&

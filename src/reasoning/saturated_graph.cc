@@ -47,9 +47,7 @@ SaturatedGraph& SaturatedGraph::operator=(const SaturatedGraph& other) {
 
 void SaturatedGraph::Rebuild() {
   Saturator saturator(vocab_, &base_.dict(), enable_owl_);
-  // MakeEmpty so a configured composite base (sharded) gets a closure with
-  // the same partitioning layout, enabling shard-local propagation.
-  closure_ = base_.store().MakeEmpty();
+  closure_ = rdf::MakeStore(base_.backend());
   // The store is freshly constructed (empty), so this cannot fail.
   Status status =
       saturator.SaturateInto(base_.store(), *closure_, options_,

@@ -52,9 +52,6 @@ class SaturatedGraph {
   const rdf::Graph& base() const { return base_; }
   rdf::Dictionary& dict() { return base_.dict(); }
   const rdf::StoreView& closure() const { return *closure_; }
-  // Mutable closure access for layout control (a sharded closure's
-  // SetShardCount); the contents are owned by the maintenance machinery.
-  rdf::StoreView& mutable_closure() { return *closure_; }
   rdf::StorageBackend backend() const { return closure_->backend(); }
   const schema::Vocabulary& vocab() const { return vocab_; }
 

@@ -10,7 +10,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rdf/sharded_store.h"
 
 namespace wdr::reasoning {
 namespace {
@@ -178,136 +177,6 @@ size_t PropagateParallel(const RuleEngine& engine, rdf::StoreView& closure,
   return added;
 }
 
-// Shard-local propagation is join-complete only when every RDFS
-// constraint predicate is in the store's broadcast set: instance-premise
-// rules join exclusively against schema triples (visible in every
-// shard-local view via the shared schema store) and schema-premise rules
-// scan instance triples shard by shard (the broadcast delta is replayed on
-// all shards). The OWL rules join instance against instance, so with OWL
-// on the per-shard derivation uses the *global* closure as its join view
-// instead — complete regardless of the broadcast configuration.
-bool ShardLocalComplete(const RuleEngine& engine,
-                        const rdf::ShardedStore& store) {
-  if (engine.owl_enabled()) return true;
-  const schema::Vocabulary& v = engine.vocab();
-  return store.IsBroadcast(v.sub_class_of) &&
-         store.IsBroadcast(v.sub_property_of) && store.IsBroadcast(v.domain) &&
-         store.IsBroadcast(v.range);
-}
-
-// Shard-parallel semi-naive propagation over a subject-hash-partitioned
-// closure. Per generation: the delta splits into a broadcast (schema) part
-// plus per-shard instance parts keyed by owner subject; each shard derives
-// against its shard-local join view (shared schema store + own shard) into
-// a private candidate buffer, workers claiming shards from an atomic
-// cursor when threads > 1; then a single thread merges candidates in shard
-// order, routing every conclusion through the sharded store's normal
-// insert path (instance conclusions land on their owner shard, schema
-// conclusions broadcast). The computed fixpoint is identical to the
-// sequential worklist — the differential harness locks this at 1/2/4/8
-// shards on every seed.
-size_t PropagateShardLocal(const RuleEngine& engine,
-                           rdf::ShardedStore& closure,
-                           std::vector<rdf::Triple> delta, int threads,
-                           RuleFirings& firings, size_t& rounds) {
-  const size_t nshards = closure.shard_count();
-  const bool owl = engine.owl_enabled();
-  size_t added = 0;
-  std::vector<rdf::Triple> next_delta;
-  std::vector<std::vector<rdf::Triple>> shard_delta(nshards);
-  std::vector<rdf::Triple> bcast;
-  // Rounds in which shard i had local delta work or produced candidates.
-  std::vector<size_t> shard_rounds(nshards, 0);
-
-  while (!delta.empty()) {
-    ++rounds;
-    for (auto& v : shard_delta) v.clear();
-    bcast.clear();
-    for (const rdf::Triple& t : delta) {
-      if (closure.IsBroadcast(t.p)) {
-        bcast.push_back(t);
-      } else {
-        shard_delta[closure.OwnerShard(t.s)].push_back(t);
-      }
-    }
-
-    std::vector<std::vector<Candidate>> shard_out(nshards);
-    auto derive_shard = [&](size_t i) {
-      if (shard_delta[i].empty() && bcast.empty()) return;
-      const rdf::ShardedStore::LocalView local = closure.ShardLocalView(i);
-      const rdf::StoreView& join =
-          owl ? static_cast<const rdf::StoreView&>(closure)
-              : static_cast<const rdf::StoreView&>(local);
-      std::vector<Candidate>& sink = shard_out[i];
-      auto emit = [&](const rdf::Triple& c, RuleId rule) {
-        // Pre-filter against the (frozen) global closure so the merge only
-        // sees genuinely new candidates plus same-round duplicates.
-        if (!closure.Contains(c)) sink.push_back({c, rule});
-      };
-      for (const rdf::Triple& t : shard_delta[i]) {
-        engine.ForEachConsequence(join, t, emit);
-      }
-      // The broadcast delta replays on every shard: schema-premise rules
-      // scan instance triples, and each shard holds a disjoint slice.
-      for (const rdf::Triple& t : bcast) {
-        engine.ForEachConsequence(join, t, emit);
-      }
-    };
-
-    const int workers = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(threads < 1 ? 1 : threads),
-                         nshards));
-    if (workers > 1) {
-      const obs::TraceContext trace_context = obs::CurrentTraceContext();
-      std::atomic<size_t> next{0};
-      auto work = [&](int worker_id) {
-        obs::TraceContextScope trace_scope(trace_context);
-        obs::Span worker_span("wdr.shard.saturation.worker");
-        worker_span.AddAttr("worker", static_cast<uint64_t>(worker_id));
-        for (;;) {
-          const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= nshards) break;
-          derive_shard(i);
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<size_t>(workers) - 1);
-      for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
-      work(0);
-      for (std::thread& th : pool) th.join();
-    } else {
-      for (size_t i = 0; i < nshards; ++i) derive_shard(i);
-    }
-
-    // Single-threaded merge in shard order: the candidate stream — and so
-    // the insert order, firing attribution and next delta — is identical
-    // for every worker count.
-    next_delta.clear();
-    for (size_t i = 0; i < nshards; ++i) {
-      for (const Candidate& cand : shard_out[i]) {
-        if (closure.Insert(cand.triple)) {
-          firings[cand.rule] += 1;
-          ++added;
-          next_delta.push_back(cand.triple);
-        }
-      }
-      if (!shard_delta[i].empty() || !shard_out[i].empty()) {
-        ++shard_rounds[i];
-      }
-    }
-    delta.swap(next_delta);
-  }
-
-  auto& reg = obs::MetricsRegistry::Get();
-  for (size_t i = 0; i < nshards; ++i) {
-    if (shard_rounds[i] == 0) continue;
-    reg.GetCounter("wdr.shard.saturation.rounds." + std::to_string(i))
-        .Add(shard_rounds[i]);
-  }
-  WDR_COUNTER_ADD("wdr.shard.saturation.derived", added);
-  return added;
-}
-
 }  // namespace
 
 size_t PropagateRounds(const RuleEngine& engine, rdf::StoreView& closure,
@@ -317,15 +186,7 @@ size_t PropagateRounds(const RuleEngine& engine, rdf::StoreView& closure,
   RuleFirings local_firings;
   size_t local_rounds = 0;
   size_t added;
-  rdf::ShardedStore* sharded =
-      closure.backend() == rdf::StorageBackend::kSharded
-          ? dynamic_cast<rdf::ShardedStore*>(&closure)
-          : nullptr;
-  if (sharded != nullptr && sharded->shard_count() > 1 &&
-      ShardLocalComplete(engine, *sharded)) {
-    added = PropagateShardLocal(engine, *sharded, std::move(delta),
-                                options.threads, local_firings, local_rounds);
-  } else if (options.threads <= 1) {
+  if (options.threads <= 1) {
     added = PropagateWorklist(
         engine, closure,
         std::deque<rdf::Triple>(delta.begin(), delta.end()), local_firings,

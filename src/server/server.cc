@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -47,10 +46,8 @@ void SetSocketTimeouts(int fd, int recv_ms, int send_ms) {
 
 // "k=v k=v ..." settings parser for SET. Unknown keys and malformed
 // values are errors — a client typo should not silently change nothing.
-// Most settings are session-local; "shards" is store-wide and goes
-// through the writer path (a new epoch, visible to every session).
-Status ApplySetting(SnapshotStore& store, SessionStateImpl& session,
-                    std::string_view key, std::string_view value) {
+Status ApplySetting(SessionStateImpl& session, std::string_view key,
+                    std::string_view value) {
   const auto parse_bool = [&](std::optional<bool>* out) -> Status {
     if (value == "1" || value == "true") {
       *out = true;
@@ -107,25 +104,6 @@ Status ApplySetting(SnapshotStore& store, SessionStateImpl& session,
     }
     return Status::Ok();
   }
-  if (key == "shards") {
-    size_t shards = 0;
-    for (char c : value) {
-      if (c < '0' || c > '9') {
-        return InvalidArgumentError("shards must be a number");
-      }
-      shards = shards * 10 + static_cast<size_t>(c - '0');
-      if (shards > 1024) return InvalidArgumentError("shards too large");
-    }
-    if (value.empty() || shards == 0) {
-      return InvalidArgumentError("shards must be a number >= 1");
-    }
-    if (!store.SetShardCount(shards)) {
-      return FailedPreconditionError(
-          "store backend is not sharded; start the server with "
-          "backend=sharded to re-partition at run time");
-    }
-    return Status::Ok();
-  }
   if (key == "timeout_ms") {
     uint64_t ms = 0;
     for (char c : value) {
@@ -141,8 +119,7 @@ Status ApplySetting(SnapshotStore& store, SessionStateImpl& session,
   return InvalidArgumentError("unknown setting: " + std::string(key));
 }
 
-Status ApplySettings(SnapshotStore& store, SessionStateImpl& session,
-                     std::string_view args) {
+Status ApplySettings(SessionStateImpl& session, std::string_view args) {
   size_t pos = 0;
   bool any = false;
   while (pos < args.size()) {
@@ -155,8 +132,8 @@ Status ApplySettings(SnapshotStore& store, SessionStateImpl& session,
     if (eq == std::string_view::npos) {
       return InvalidArgumentError("expected k=v, got: " + std::string(token));
     }
-    WDR_RETURN_IF_ERROR(ApplySetting(store, session, token.substr(0, eq),
-                                     token.substr(eq + 1)));
+    WDR_RETURN_IF_ERROR(
+        ApplySetting(session, token.substr(0, eq), token.substr(eq + 1)));
     any = true;
   }
   if (!any) return InvalidArgumentError("SET requires k=v arguments");
@@ -396,7 +373,7 @@ bool Server::HandleFrame(int fd, uint64_t session_id, std::string_view payload,
   }
 
   if (request.verb == "SET") {
-    const Status status = ApplySettings(store_, session, request.args);
+    const Status status = ApplySettings(session, request.args);
     if (!status.ok()) return WriteFrame(fd, ErrResponse(status));
     return WriteFrame(fd, OkResponse());
   }
@@ -426,19 +403,6 @@ bool Server::HandleFrame(int fd, uint64_t session_id, std::string_view payload,
         " auto_datalog=" + counter("wdr.auto.decisions.datalog") +
         " auto_fallbacks=" + counter("wdr.auto.fallbacks") +
         " auto_refreshes=" + counter("wdr.auto.model_refreshes");
-    const SnapshotStore::ShardLayout layout = store_.shard_layout();
-    if (layout.shard_count != 0) {
-      head += " shards=" + std::to_string(layout.shard_count);
-      head += " shard_sizes=";
-      for (size_t i = 0; i < layout.sizes.size(); ++i) {
-        if (i != 0) head += ',';
-        head += std::to_string(layout.sizes[i]);
-      }
-      head += " shard_schema=" + std::to_string(layout.schema_size);
-      char skew[32];
-      std::snprintf(skew, sizeof(skew), "%.2f", layout.skew);
-      head += std::string(" shard_skew=") + skew;
-    }
     return WriteFrame(fd, OkResponse(head));
   }
 

@@ -78,13 +78,6 @@ Result<store::UpdateInfo> SnapshotStore::Update(
       [&](store::ReasoningStore& s) { return s.Update(sparql_update); });
 }
 
-bool SnapshotStore::SetShardCount(size_t n) {
-  // Cheap precondition outside the write path: a non-sharded backend
-  // cannot re-partition, and failing early avoids burning an epoch.
-  if (backend() != rdf::StorageBackend::kSharded) return false;
-  return Write([&](store::ReasoningStore& s) { return s.SetShardCount(n); });
-}
-
 Result<SnapshotStore::ReadResult> SnapshotStore::Query(
     std::string_view sparql, const store::ReadOptions& options,
     PlanCache* cache, bool decode) {
@@ -171,19 +164,6 @@ Result<SnapshotStore::ReadResult> SnapshotStore::Query(
 
 size_t SnapshotStore::size() const {
   return sides_[published_.load(std::memory_order_acquire)].store.size();
-}
-
-SnapshotStore::ShardLayout SnapshotStore::shard_layout() const {
-  ShardLayout layout;
-  const rdf::ShardedStore* sharded =
-      sides_[published_.load(std::memory_order_acquire)]
-          .store.sharded_store();
-  if (sharded == nullptr) return layout;
-  layout.shard_count = sharded->shard_count();
-  layout.sizes = sharded->ShardSizes();
-  layout.schema_size = sharded->schema_store().size();
-  layout.skew = sharded->SkewRatio();
-  return layout;
 }
 
 const rdf::StoreView& SnapshotStore::published_store_view() const {

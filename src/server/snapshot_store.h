@@ -58,12 +58,6 @@ class SnapshotStore {
   Result<size_t> LoadTurtle(std::string_view text);
   Result<store::UpdateInfo> Update(std::string_view sparql_update);
 
-  // Re-partitions both sides' sharded stores to `n` shards (an epoch like
-  // any other write, so readers never observe a half-moved layout).
-  // Returns false — without consuming an epoch — when the configured
-  // backend is not sharded. Answers are identical at any shard count.
-  bool SetShardCount(size_t n);
-
   // --- Reader API (any thread, any number concurrently) -----------------
 
   // One session-held cache of PreparedQuery plans, keyed by query text +
@@ -118,17 +112,6 @@ class SnapshotStore {
   size_t size() const;
   store::ReasoningMode mode() const { return sides_[0].store.mode(); }
   rdf::StorageBackend backend() const { return sides_[0].store.backend(); }
-
-  // Shard layout of the published side's base store; shard_count == 0
-  // means the backend is not sharded. Like size(), approximate under
-  // concurrent writes and exact when quiescent.
-  struct ShardLayout {
-    size_t shard_count = 0;
-    std::vector<size_t> sizes;      // instance triples per shard
-    size_t schema_size = 0;         // broadcast schema triples
-    double skew = 0.0;              // max shard size / mean shard size
-  };
-  ShardLayout shard_layout() const;
 
   // Last kAuto routing decision on the published side (the side queries
   // run on), or nullopt before any auto-routed query. Thread-safe.

@@ -47,20 +47,6 @@ analysis::Route RouteOf(ReasoningMode mode) {
   }
 }
 
-// Planner statistics over a store. A sharded store is built shard-locally
-// — one pass per member (schema + each shard), folded with
-// exec::Statistics::Merge — so the per-member passes stay cache-resident
-// and the merge API gets exercised exactly as a distributed build would.
-exec::Statistics BuildStoreStats(const rdf::StoreView& store) {
-  const auto* sharded = dynamic_cast<const rdf::ShardedStore*>(&store);
-  if (sharded == nullptr) return exec::Statistics::Build(store);
-  exec::Statistics stats = exec::Statistics::Build(sharded->schema_store());
-  for (size_t i = 0; i < sharded->shard_count(); ++i) {
-    stats.Merge(exec::Statistics::Build(sharded->shard(i)));
-  }
-  return stats;
-}
-
 ReasoningMode ModeOf(analysis::Route route) {
   switch (route) {
     case analysis::Route::kSaturation:
@@ -123,44 +109,10 @@ ReasoningStore::ReasoningStore(ReasoningStoreOptions options)
     : options_(options),
       graph_(options.backend),
       vocab_(schema::Vocabulary::Intern(graph_.dict())) {
-  ConfigureShardedStore();
   if (options_.mode == ReasoningMode::kSaturation) {
     saturated_.emplace(graph_, vocab_, /*enable_owl=*/false,
                        options_.saturation);
   }
-}
-
-void ReasoningStore::ConfigureShardedStore() {
-  if (options_.backend != rdf::StorageBackend::kSharded) return;
-  if (options_.shards < 1) options_.shards = 1;
-  auto replacement = std::make_unique<rdf::ShardedStore>(
-      options_.shards, options_.shard_backend);
-  // Broadcasting the constraint predicates keeps every shard's local join
-  // view complete for the RDFS rules (reasoning/saturation.cc's
-  // shard-local propagation requires exactly this set).
-  replacement->SetBroadcastPredicates(
-      {vocab_.sub_class_of, vocab_.sub_property_of, vocab_.domain,
-       vocab_.range, vocab_.owl_inverse_of});
-  graph_.AdoptStore(std::move(replacement));
-}
-
-bool ReasoningStore::SetShardCount(size_t n) {
-  auto* sharded = dynamic_cast<rdf::ShardedStore*>(&graph_.store());
-  if (sharded == nullptr) return false;
-  if (n < 1) n = 1;
-  options_.shards = n;
-  sharded->SetShardCount(n);
-  stats_cache_.reset();
-  closure_stats_cache_.reset();
-  if (saturated_.has_value()) {
-    // The snapshot copy (and its closure, built via MakeEmpty) follows the
-    // base store's layout — including a still-pending count: MakeEmpty
-    // resolves pending first, so the closure never lags the target layout.
-    saturated_.emplace(graph_, vocab_, /*enable_owl=*/false,
-                       options_.saturation);
-  }
-  sharded->PublishGauges();
-  return true;
 }
 
 size_t ReasoningStore::effective_size() const {
@@ -194,9 +146,6 @@ void ReasoningStore::SetBackend(rdf::StorageBackend backend) {
   stats_cache_.reset();
   closure_stats_cache_.reset();
   graph_.SetBackend(backend);
-  // SetBackend installed a default-constructed sharded store; swap in one
-  // configured from the options (shard count, broadcast predicates).
-  ConfigureShardedStore();
   // The closure store follows the base graph's backend; rebuild it.
   if (saturated_.has_value()) {
     saturated_.emplace(graph_, vocab_, /*enable_owl=*/false,
@@ -341,12 +290,12 @@ const exec::Statistics& ReasoningStore::CachedStats(bool over_closure) {
   // mode or a per-read override) plans over base-graph statistics.
   if (over_closure && saturated_.has_value()) {
     if (!closure_stats_cache_.has_value()) {
-      closure_stats_cache_ = BuildStoreStats(saturated_->closure());
+      closure_stats_cache_ = exec::Statistics::Build(saturated_->closure());
     }
     return *closure_stats_cache_;
   }
   if (!stats_cache_.has_value()) {
-    stats_cache_ = BuildStoreStats(graph_.store());
+    stats_cache_ = exec::Statistics::Build(graph_.store());
   }
   return *stats_cache_;
 }

@@ -20,7 +20,6 @@
 #include "query/evaluator.h"
 #include "rdf/graph.h"
 #include "rdf/hier_encoding.h"
-#include "rdf/sharded_store.h"
 #include "reasoning/saturated_graph.h"
 #include "reformulation/reformulator.h"
 #include "schema/schema.h"
@@ -73,13 +72,6 @@ struct ReasoningStoreOptions {
   ReasoningMode mode = ReasoningModeDefault();
   // Storage engine for the base graph and (in saturation mode) the closure.
   rdf::StorageBackend backend = rdf::StorageBackend::kOrdered;
-  // kSharded only: number of subject-hash partitions (values < 1 clamp to
-  // 1) and the storage engine of each partition. Schema triples (the RDFS
-  // constraint predicates plus owl:inverseOf) are broadcast to a shared
-  // schema member so shard-local saturation stays complete. Answers are
-  // identical at any shard count.
-  size_t shards = rdf::ShardedStore::kDefaultShardCount;
-  rdf::StorageBackend shard_backend = rdf::StorageBackend::kFlat;
   // Passed through to the reformulation engine (kReformulation mode).
   reformulation::ReformulationOptions reformulation;
   // Passed through to the saturator (kSaturation mode): threads for the
@@ -304,21 +296,6 @@ class ReasoningStore {
   // rebuilding the closure in saturation mode). No-op if unchanged.
   void SetBackend(rdf::StorageBackend backend);
 
-  // Changes the shard count of the sharded base store (values < 1 clamp to
-  // 1) and rebuilds the closure in saturation mode. Returns false when the
-  // backend is not kSharded. Re-partitioning defers under open scans or
-  // epoch pins and applies at the next mutation (see
-  // rdf::ShardedStore::SetShardCount); deferral still returns true.
-  bool SetShardCount(size_t n);
-  size_t shard_count() const {
-    const rdf::ShardedStore* s = sharded_store();
-    return s == nullptr ? 1 : s->shard_count();
-  }
-  // The sharded base store, or null when the backend is not kSharded.
-  const rdf::ShardedStore* sharded_store() const {
-    return dynamic_cast<const rdf::ShardedStore*>(&graph_.store());
-  }
-
   // Sets the saturation worker-thread count for subsequent closure builds
   // and maintenance propagation (values < 1 clamp to 1). Does not trigger
   // a rebuild — the current closure is already correct.
@@ -378,11 +355,6 @@ class ReasoningStore {
   size_t effective_size() const;
 
  private:
-  // Replaces the default-constructed sharded base store with one
-  // configured from the options (shard count, per-shard backend, broadcast
-  // predicates from the vocabulary). No-op unless backend == kSharded.
-  void ConfigureShardedStore();
-
   // Re-closes the schema component after a schema change: previously
   // derived schema edges are retracted and re-derived from the current
   // base schema.

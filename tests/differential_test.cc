@@ -67,20 +67,6 @@ TEST(DifferentialTest, StoreModeOverridesAgreeOnRandomInstances) {
   }
 }
 
-// Sharded-execution lock: the hash-partitioned store at 1/2/4/8 shards,
-// over both per-shard backends, reproduces the ordered single-store
-// reference exactly (closure and answers), including through the store
-// front door with a live re-partition between queries. Instance count
-// defaults lower than the main differential: each instance runs 16
-// saturations plus three store configurations.
-TEST(DifferentialTest, ShardedStoreAgreesOnRandomInstances) {
-  const uint64_t base_seed = test::EnvU64("WDR_SEED", kDefaultBaseSeed);
-  const uint64_t instances = test::EnvU64("WDR_SHARD_DIFF_INSTANCES", 20);
-  for (uint64_t i = 0; i < instances; ++i) {
-    EXPECT_TRUE(test::RunShardedDifferentialInstance(base_seed + i));
-  }
-}
-
 // Contract check for the bug fixed alongside the parallel saturator:
 // SaturateInto used to silently mix a non-empty closure into the result;
 // now it must refuse.

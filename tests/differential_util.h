@@ -9,11 +9,6 @@
 //    Datalog + magic sets}
 //     × {ordered, flat} storage backends
 //
-// and, in the sharded instance, the hash-partitioned composite store at
-// {1, 2, 4, 8} shards × {ordered, flat} per-shard backends against the
-// ordered single-store reference (closure set-identical, legacy answers
-// bit-identical, plan/exchange answers set-identical),
-//
 // plus closure-level equality between the sequential saturator, the
 // parallel saturator at every thread count, and the Datalog
 // materialization, plus a physical-plan section locking plan-based UCQ
@@ -41,7 +36,6 @@
 #include "io/turtle_writer.h"
 #include "query/evaluator.h"
 #include "rdf/hier_encoding.h"
-#include "rdf/sharded_store.h"
 #include "reasoning/saturated_graph.h"
 #include "reformulation/reformulator.h"
 #include "schema/schema.h"
@@ -536,158 +530,6 @@ inline ::testing::AssertionResult RunStoreDifferentialInstance(
                         " differs from the canonical saturation answers");
           }
         }
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
-// Sharded-execution differential check for one seed: the hash-partitioned
-// store at 1/2/4/8 shards, with ordered and flat per-shard backends, must
-// reproduce the ordered single-store reference exactly —
-//
-//   - the saturation closure (sequential AND parallel at threads=shards)
-//     is set-identical to the reference closure;
-//   - legacy-join query answers are BIT-IDENTICAL (same rows, same order):
-//     the merged scan preserves global index order and the sharded
-//     EstimateCount reproduces the single-store estimates, so the greedy
-//     join order and the row stream cannot drift;
-//   - plan-based answers (exchange operators over the partitioned scan)
-//     are answer-set identical (merged statistics may legally pick a
-//     different join order).
-//
-// A store-level pass then drives the sharded backend through the
-// ReasoningStore front door, including a live SetShardCount re-partition
-// between queries, and locks decoded answers to the first configuration.
-inline ::testing::AssertionResult RunShardedDifferentialInstance(
-    uint64_t seed, const DifferentialConfig& config = {}) {
-  auto fail = [&](const std::string& what) {
-    return ::testing::AssertionFailure()
-           << what << " [seed=" << seed << " — rerun with WDR_SEED=" << seed
-           << "]";
-  };
-
-  Rng graph_rng(seed);
-  RandomGraph rg = MakeRandomGraph(graph_rng, config.graph);
-  reformulation::CloseSchema(rg.graph, rg.vocab);
-
-  // Ordered single-store reference: closure and per-query row streams.
-  reasoning::SaturatedGraph reference(rg.graph, rg.vocab);
-  const std::vector<rdf::Triple> closure_ref =
-      SortedTriples(reference.closure());
-  query::Evaluator reference_eval(reference.closure());
-
-  std::vector<query::UnionQuery> queries;
-  Rng query_rng(seed ^ 0x9e3779b97f4a7c15ull);
-  for (int k = 0; k < config.queries_per_instance; ++k) {
-    queries.push_back(query::UnionQuery::Single(MakeRandomQuery(query_rng, rg)));
-  }
-  std::vector<query::ResultSet> reference_results;
-  for (const query::UnionQuery& q : queries) {
-    reference_results.push_back(reference_eval.Evaluate(q));
-  }
-
-  for (rdf::StorageBackend shard_backend :
-       {rdf::StorageBackend::kOrdered, rdf::StorageBackend::kFlat}) {
-    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      const std::string label =
-          std::string("shards=") + std::to_string(shards) +
-          " shard_backend=" + rdf::StorageBackendName(shard_backend);
-
-      rdf::Graph graph = rg.graph;
-      auto sharded =
-          std::make_unique<rdf::ShardedStore>(shards, shard_backend);
-      sharded->SetBroadcastPredicates(
-          {rg.vocab.sub_class_of, rg.vocab.sub_property_of, rg.vocab.domain,
-           rg.vocab.range});
-      graph.AdoptStore(std::move(sharded));
-
-      // Closure identity: shard-parallel semi-naive (shard-local deltas,
-      // broadcast of derived schema triples) must close to exactly the
-      // reference set, sequentially and at threads=shards.
-      reasoning::SaturatedGraph sequential(graph, rg.vocab);
-      if (SortedTriples(sequential.closure()) != closure_ref) {
-        return fail(label + ": sharded closure differs from the ordered "
-                            "single-store closure");
-      }
-      {
-        reasoning::SaturationOptions options;
-        options.threads = static_cast<int>(shards);
-        reasoning::SaturatedGraph parallel(graph, rg.vocab,
-                                           /*enable_owl=*/false, options);
-        if (SortedTriples(parallel.closure()) != closure_ref) {
-          return fail(label + ": parallel sharded closure (threads=" +
-                      std::to_string(shards) + ") differs from reference");
-        }
-      }
-
-      query::Evaluator eval(sequential.closure());
-      query::EvaluatorOptions plan_options;
-      plan_options.plan = true;
-      query::Evaluator plan_eval(sequential.closure(), plan_options);
-      for (size_t k = 0; k < queries.size(); ++k) {
-        const std::string qlabel =
-            label + " query " + std::to_string(k);
-        const query::ResultSet got = eval.Evaluate(queries[k]);
-        if (got.rows != reference_results[k].rows) {
-          return fail(qlabel + ": legacy-join answers are not bit-identical "
-                               "to the single-store reference");
-        }
-        const query::ResultSet via_plan = plan_eval.Evaluate(queries[k]);
-        if (Rows(rg.graph, via_plan) != Rows(rg.graph, reference_results[k])) {
-          return fail(qlabel + ": plan-based (exchange) answers differ from "
-                               "the single-store reference");
-        }
-      }
-    }
-  }
-
-  // Store front door: sharded backend end to end, with a live re-partition
-  // between queries (answers may never change across shard counts).
-  const std::string turtle = io::WriteTurtle(rg.graph);
-  std::vector<std::string> sparql;
-  Rng sparql_rng(seed ^ 0x9e3779b97f4a7c15ull);
-  for (int k = 0; k < config.queries_per_instance; ++k) {
-    sparql.push_back(ToSparql(MakeRandomQuery(sparql_rng, rg), rg.graph));
-  }
-  std::vector<std::set<std::vector<std::string>>> canonical;
-  for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
-    store::ReasoningStoreOptions options;
-    options.mode = store::ReasoningMode::kSaturation;
-    options.backend = rdf::StorageBackend::kSharded;
-    options.shards = shards;
-    options.shard_backend = shards % 2 == 0 ? rdf::StorageBackend::kFlat
-                                            : rdf::StorageBackend::kOrdered;
-    store::ReasoningStore store(options);
-    Result<size_t> loaded = store.LoadTurtle(turtle);
-    if (!loaded.ok()) {
-      return fail("sharded store LoadTurtle failed: " +
-                  loaded.status().ToString());
-    }
-    for (int pass = 0; pass < 2; ++pass) {
-      const std::string pass_label =
-          "sharded store (shards=" + std::to_string(store.shard_count()) +
-          ") pass " + std::to_string(pass);
-      for (size_t k = 0; k < sparql.size(); ++k) {
-        Result<query::ResultSet> result = store.Query(sparql[k]);
-        if (!result.ok()) {
-          return fail(pass_label + " query " + std::to_string(k) +
-                      " failed: " + result.status().ToString());
-        }
-        std::set<std::vector<std::string>> rows;
-        for (const query::Row& row : result->rows) {
-          rows.insert(store.DecodeRow(row));
-        }
-        if (canonical.size() <= k) {
-          canonical.push_back(rows);
-        } else if (rows != canonical[k]) {
-          return fail(pass_label + " query " + std::to_string(k) +
-                      ": answers differ across shard layouts");
-        }
-      }
-      // Second pass runs on a re-partitioned layout.
-      if (pass == 0 && !store.SetShardCount(shards == 8 ? 2 : shards + 1)) {
-        return fail("SetShardCount refused on a sharded backend");
       }
     }
   }

@@ -143,7 +143,7 @@ TEST_F(ServerProtocolTest, SessionSettingsChangeBehavior) {
   // Bad settings are errors, and the session survives them.
   for (const char* bad :
        {"mode=telepathy", "threads=many", "nonsense=1", "timeout_ms=-2",
-        "plan=maybe"}) {
+        "plan=maybe", "shards=4"}) {
     auto set = client.Set(bad);
     ASSERT_TRUE(set.ok());
     EXPECT_FALSE(set.value().ok) << bad;

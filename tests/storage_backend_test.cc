@@ -203,7 +203,11 @@ TEST(StorageBackendTest, RuntimeBackendSwitchPreservesAnswers) {
   auto before_rows = test::Rows(rs.graph(), *before);
   EXPECT_EQ(before_rows.size(), 1u);
 
-  rs.SetBackend(StorageBackend::kFlat);
+  // Backend names parse to exactly the two engines; anything else fails.
+  StorageBackend parsed = StorageBackend::kOrdered;
+  EXPECT_FALSE(rdf::ParseStorageBackend("sharded", &parsed));
+  ASSERT_TRUE(rdf::ParseStorageBackend("flat", &parsed));
+  rs.SetBackend(parsed);
   EXPECT_EQ(rs.backend(), StorageBackend::kFlat);
   EXPECT_EQ(rs.graph().backend(), StorageBackend::kFlat);
   auto after = rs.Query(q);
