@@ -92,28 +92,6 @@ void BM_DatalogSaturation(benchmark::State& state) {
 }
 BENCHMARK(BM_DatalogSaturation)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
-// Parallel semi-naive materialization ([29], Motik et al. AAAI'14) on the
-// RDF translation. Speedups require actual cores; on a single-core host
-// this honestly reports the partition/merge overhead instead.
-void BM_ParallelDatalogSaturation(benchmark::State& state) {
-  wdr::workload::UniversityConfig config;
-  config.universities = 2;
-  wdr::workload::UniversityData data =
-      wdr::workload::GenerateUniversityData(config);
-  wdr::datalog::RdfDatalogTranslation xlat =
-      wdr::datalog::TranslateGraph(data.graph, data.vocab);
-  wdr::datalog::EvalStats stats;
-  for (auto _ : state) {
-    auto db = wdr::datalog::MaterializeParallel(
-        xlat.program, static_cast<int>(state.range(0)), &stats);
-    benchmark::DoNotOptimize(db.ok());
-  }
-  state.counters["derived"] = static_cast<double>(stats.derived_tuples);
-  state.counters["threads"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_ParallelDatalogSaturation)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 // Magic sets on the RDF translation: answering a *selective* query
 // (the types of one resource) without materializing the whole closure —
 // the "RDF-specific Datalog optimization" §II-D asks for. Compare with

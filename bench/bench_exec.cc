@@ -209,13 +209,12 @@ ReformulationFixture& SharedReformulationFixture() {
   return *fixture;
 }
 
-// Arg 0: plan on/off; arg 1: branch worker threads.
+// Arg 0: plan on/off.
 void BM_ReformulatedUnionQ6Plan(benchmark::State& state) {
   ReformulationFixture& f = SharedReformulationFixture();
   wdr::query::Evaluator::Options options;
   options.plan = state.range(0) != 0;
   options.stats = options.plan ? &f.stats : nullptr;
-  options.threads = static_cast<int>(state.range(1));
   wdr::query::Evaluator evaluator(f.data.graph.store(), options);
   size_t answers = 0;
   for (auto _ : state) {
@@ -226,8 +225,9 @@ void BM_ReformulatedUnionQ6Plan(benchmark::State& state) {
   state.counters["CQs"] = static_cast<double>(f.q6_ref.size());
 }
 BENCHMARK(BM_ReformulatedUnionQ6Plan)
-    ->ArgsProduct({{0, 1}, {1, 8}})
-    ->ArgNames({"plan", "threads"})
+    ->Arg(0)
+    ->Arg(1)
+    ->ArgName("plan")
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -19,17 +19,11 @@
 //        hence lower thresholds favoring saturation less.
 //
 // Environment knobs: WDR_FIG3_UNIVERSITIES (default 16) scales the
-// dataset; WDR_FIG3_THREADS (default 1) runs saturation and closure
-// maintenance with the parallel saturator, shifting the amortization
-// points the same way a parallel deployment would see them;
-// WDR_FIG3_QUERY_THREADS (default 1) evaluates the union branches of the
-// reformulated queries in parallel (with the cross-branch scan cache),
-// which speeds up the reformulation side and therefore RAISES the
-// saturation thresholds — the headline numbers move when the
-// reformulation engine gets faster; WDR_FIG3_ENCODING=1 answers the
-// reformulation side through the hierarchy-aware id encoding (subclass/
-// subproperty unions collapse into range atoms), another way the
-// reformulation column speeds up and the thresholds shift.
+// dataset; WDR_FIG3_ENCODING=1 answers the reformulation side through the
+// hierarchy-aware id encoding (subclass/subproperty unions collapse into
+// range atoms), which speeds up the reformulation column and therefore
+// RAISES the saturation thresholds. A knob that is set must be a whole
+// number in its range, or the bench exits 1 before doing any work.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -48,9 +42,20 @@
 
 namespace {
 
-int EnvInt(const char* name, int fallback) {
+// Reads integer knob `name`: `fallback` when unset; otherwise the whole
+// value must be a number in [lo, hi] ("16x" or an int-overflowing value
+// exits 1).
+int EnvInt(const char* name, int fallback, long lo, long hi) {
   const char* value = std::getenv(name);
-  return value == nullptr ? fallback : std::atoi(value);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  const long parsed = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || parsed < lo || parsed > hi) {
+    std::fprintf(stderr, "invalid %s=%s (expected %ld..%ld)\n", name, value,
+                 lo, hi);
+    std::exit(1);
+  }
+  return static_cast<int>(parsed);
 }
 
 // Renders a threshold on the figure's log scale as a bar of '#'.
@@ -66,24 +71,21 @@ std::string LogBar(double threshold) {
 int main(int argc, char** argv) {
   std::string metrics_path = wdr::bench::ConsumeMetricsJsonFlag(&argc, argv);
   wdr::workload::UniversityConfig config;
-  config.universities = EnvInt("WDR_FIG3_UNIVERSITIES", 16);
+  config.universities = EnvInt("WDR_FIG3_UNIVERSITIES", 16, 1, 100000);
+  const bool encoding = EnvInt("WDR_FIG3_ENCODING", 0, 0, 1) != 0;
   config.departments_per_university = 5;
   wdr::workload::UniversityData data =
       wdr::workload::GenerateUniversityData(config);
   wdr::reformulation::CloseSchema(data.graph, data.vocab);
 
   wdr::analysis::MeasureOptions measure_options;
-  measure_options.saturation.threads = EnvInt("WDR_FIG3_THREADS", 1);
-  measure_options.query.threads = EnvInt("WDR_FIG3_QUERY_THREADS", 1);
-  measure_options.encoding = EnvInt("WDR_FIG3_ENCODING", 0) != 0;
+  measure_options.encoding = encoding;
 
   std::printf(
       "=== Fig. 3 — saturation thresholds ===\n"
-      "dataset: %s triples (%zu schema), %d universities, "
-      "%d saturation thread(s), %d query thread(s), encoding %s\n\n",
+      "dataset: %s triples (%zu schema), %d universities, encoding %s\n\n",
       wdr::FormatWithCommas(static_cast<long long>(data.graph.size())).c_str(),
       data.ontology_triples, config.universities,
-      measure_options.saturation.threads, measure_options.query.threads,
       measure_options.encoding ? "on" : "off");
 
   wdr::Rng rng(20150413);  // ICDE'15 opening day

@@ -58,44 +58,6 @@ void BM_SaturateBySchemaDepth(benchmark::State& state) {
 BENCHMARK(BM_SaturateBySchemaDepth)->DenseRange(1, 6)
     ->Unit(benchmark::kMillisecond);
 
-// Parallel saturation: wall-clock vs. thread count on the largest
-// university workload. The `speedup` counter is measured against a
-// sequential run through the same TimeReps harness, so the headline
-// "speedup at N threads" number is in the bench output directly.
-void BM_SaturateUniversityParallel(benchmark::State& state) {
-  wdr::workload::UniversityConfig config;
-  config.universities = static_cast<int>(state.range(0));
-  wdr::workload::UniversityData data =
-      wdr::workload::GenerateUniversityData(config);
-  const int threads = static_cast<int>(state.range(1));
-  wdr::reasoning::SaturationOptions options;
-  options.threads = threads;
-  wdr::reasoning::SaturationStats stats;
-  for (auto _ : state) {
-    wdr::rdf::TripleStore closure = wdr::reasoning::Saturator::SaturateGraph(
-        data.graph, data.vocab, &stats, options);
-    benchmark::DoNotOptimize(closure.size());
-  }
-  wdr::bench::RepStats seq = wdr::bench::TimeReps(1, 3, [&] {
-    wdr::rdf::TripleStore closure =
-        wdr::reasoning::Saturator::SaturateGraph(data.graph, data.vocab);
-    benchmark::DoNotOptimize(closure.size());
-  });
-  wdr::bench::RepStats par = wdr::bench::TimeReps(1, 3, [&] {
-    wdr::rdf::TripleStore closure = wdr::reasoning::Saturator::SaturateGraph(
-        data.graph, data.vocab, nullptr, options);
-    benchmark::DoNotOptimize(closure.size());
-  });
-  state.counters["closure"] = static_cast<double>(stats.closure_triples);
-  state.counters["rounds"] = static_cast<double>(stats.rounds);
-  state.counters["seq_ms"] = seq.mean_us / 1e3;
-  state.counters["speedup"] = seq.mean_us / par.mean_us;
-}
-BENCHMARK(BM_SaturateUniversityParallel)
-    ->ArgsProduct({{8}, {1, 2, 4, 8}})
-    ->ArgNames({"univ", "threads"})
-    ->Unit(benchmark::kMillisecond);
-
 // Rule-firing mix on the realistic workload (which rules dominate).
 void BM_RuleMixUniversity(benchmark::State& state) {
   wdr::workload::UniversityConfig config;

@@ -18,6 +18,9 @@
 //   --backend=B       ordered|flat storage backend (default ordered)
 //   --metrics-json=P  dump the wdr.* metrics registry to P afterwards
 //                     (includes the server's wdr.server.* histograms)
+//
+// A numeric flag must be a whole number in its range, or the bench exits
+// 1 before doing any work.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -99,10 +102,16 @@ struct WorkerResult {
   std::vector<double> write_us;
 };
 
-int FlagInt(const char* arg, const char* name, int* out) {
+// Parses `arg` as `name` followed by a number in [lo, hi] into `*out`.
+// Returns 0 when `arg` is another flag, 1 when parsed, -1 when the value
+// is not entirely a number in range ("4x" or an int-overflowing value).
+int FlagInt(const char* arg, const char* name, long lo, long hi, int* out) {
   const size_t n = std::strlen(name);
   if (std::strncmp(arg, name, n) != 0) return 0;
-  *out = std::atoi(arg + n);
+  char* end = nullptr;
+  const long value = std::strtol(arg + n, &end, 10);
+  if (end == arg + n || *end != '\0' || value < lo || value > hi) return -1;
+  *out = static_cast<int>(value);
   return 1;
 }
 
@@ -117,12 +126,17 @@ int main(int argc, char** argv) {
   std::string metrics_path =
       wdr::bench::ConsumeMetricsJsonFlag(&argc, argv);
   for (int i = 1; i < argc; ++i) {
-    if (FlagInt(argv[i], "--clients=", &clients) ||
-        FlagInt(argv[i], "--write-pct=", &write_pct) ||
-        FlagInt(argv[i], "--seconds=", &seconds) ||
-        FlagInt(argv[i], "--scale=", &scale)) {
-      continue;
+    int parsed = FlagInt(argv[i], "--clients=", 1, 256, &clients);
+    if (parsed == 0) {
+      parsed = FlagInt(argv[i], "--write-pct=", 0, 100, &write_pct);
     }
+    if (parsed == 0) parsed = FlagInt(argv[i], "--seconds=", 1, 3600, &seconds);
+    if (parsed == 0) parsed = FlagInt(argv[i], "--scale=", 2, 10000000, &scale);
+    if (parsed < 0) {
+      std::fprintf(stderr, "invalid value in %s\n", argv[i]);
+      return 1;
+    }
+    if (parsed > 0) continue;
     if (std::strcmp(argv[i], "--backend=flat") == 0) {
       store_options.backend = wdr::rdf::StorageBackend::kFlat;
     } else if (std::strcmp(argv[i], "--backend=ordered") == 0) {

@@ -13,7 +13,7 @@
 //   .set k=v [k=v ...]    session settings: mode=saturation|reformulation|
 //                         backward|datalog|auto|none|default,
 //                         plan=0|1|default, encoding=0|1|default,
-//                         threads=N, timeout_ms=N
+//                         timeout_ms=N
 //   .info                 server/session info (epoch, size, plan cache,
 //                         auto-mode routing counters)
 //   .why                  last auto-mode routing decision (sent as WHY)
@@ -89,7 +89,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--port=", 0) == 0) {
-      port = std::atoi(arg.c_str() + 7);
+      // The whole value must be a port number: "80x" or an int-overflowing
+      // value is rejected, not read as a prefix.
+      const char* text = arg.c_str() + 7;
+      char* end = nullptr;
+      const long value = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || value < 1 || value > 65535) {
+        std::cerr << "invalid port in " << arg << "\n";
+        return EXIT_FAILURE;
+      }
+      port = static_cast<int>(value);
     } else if (arg == "-e" && i + 1 < argc) {
       commands.push_back(argv[++i]);
     } else {
@@ -97,7 +106,7 @@ int main(int argc, char** argv) {
       return EXIT_FAILURE;
     }
   }
-  if (port <= 0 || port > 65535) {
+  if (port < 0) {
     std::cerr << "usage: wdr_client --port=PORT [-e COMMAND ...]\n";
     return EXIT_FAILURE;
   }

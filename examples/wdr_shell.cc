@@ -3,8 +3,8 @@
 //
 // Usage:
 //   wdr_shell [--mode=saturation|reformulation|backward|datalog|none|auto]
-//             [--backend=ordered|flat] [--threads=N] [--query-threads=N]
-//             [--plan] [--encoding=on|off] [--explain] [--script=FILE]
+//             [--backend=ordered|flat] [--plan] [--encoding=on|off]
+//             [--explain] [--script=FILE]
 //             [--serve=PORT] [--listen=PORT] [file.ttl ...]
 //
 // With --listen=PORT (or `.listen PORT` at the prompt) the shell starts
@@ -20,8 +20,6 @@
 //   .why                last auto-mode routing decision with its per-route
 //                       cost estimates
 //   .backend ENGINE     switch storage engine (ordered|flat) at run time
-//   .threads N          saturation worker threads for closure builds
-//   .qthreads N         worker threads for union-query branches
 //   .plan on|off        cost-based physical plans (hash joins, batching)
 //   .encoding on|off    hierarchy-aware id encoding (LiteMat): collapse
 //                       reformulation unions into range scans
@@ -91,21 +89,6 @@ std::unique_ptr<wdr::server::Server> g_query_server;
 // --explain: print the operator tree after every query.
 bool g_explain = false;
 
-// Thread counts for --threads=/--query-threads= and .threads/.qthreads:
-// the whole text must be a number in [1, kMaxThreads] (the server's SET
-// threads= cap), so "4x" or an int-overflowing value is rejected.
-constexpr long kMaxThreads = 1024;
-
-bool ParseThreadCount(const char* text, int* threads) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < 1 || value > kMaxThreads) {
-    return false;
-  }
-  *threads = static_cast<int>(value);
-  return true;
-}
-
 bool ParseMode(const std::string& name, ReasoningMode* mode) {
   if (name == "saturation") {
     *mode = ReasoningMode::kSaturation;
@@ -137,8 +120,6 @@ void PrintHelp() {
                "  .why                  last auto-mode routing decision "
                "(estimates per route)\n"
                "  .backend ENGINE       ordered|flat storage engine\n"
-               "  .threads N            saturation worker threads (1..1024)\n"
-               "  .qthreads N           union-branch query threads (1..1024)\n"
                "  .plan on|off          cost-based physical plans (hash "
                "joins)\n"
                "  .encoding on|off      hierarchy-aware id encoding "
@@ -238,8 +219,6 @@ bool StartListen(const ReasoningStore& store, int port) {
   options.mode = store.mode();
   options.backend = store.backend();
   options.query.plan = store.plan_mode();
-  options.query.threads = store.query_threads();
-  options.saturation.threads = store.saturation_threads();
   options.encoding = store.encoding_enabled();
   g_snapshot_store =
       std::make_unique<wdr::server::SnapshotStore>(options);
@@ -363,27 +342,6 @@ bool RunCommand(ReasoningStore& store, const std::string& line) {
         return true;
       }
       std::cerr << "unknown backend '" << argument << "'\n";
-      return false;
-    }
-    if (command == ".threads") {
-      int threads = 0;
-      if (ParseThreadCount(argument.c_str(), &threads)) {
-        store.SetSaturationThreads(threads);
-        std::cout << "saturation threads = " << store.saturation_threads()
-                  << "\n";
-        return true;
-      }
-      std::cerr << "usage: .threads N (1 <= N <= " << kMaxThreads << ")\n";
-      return false;
-    }
-    if (command == ".qthreads") {
-      int threads = 0;
-      if (ParseThreadCount(argument.c_str(), &threads)) {
-        store.SetQueryThreads(threads);
-        std::cout << "query threads = " << store.query_threads() << "\n";
-        return true;
-      }
-      std::cerr << "usage: .qthreads N (1 <= N <= " << kMaxThreads << ")\n";
       return false;
     }
     if (command == ".plan") {
@@ -564,8 +522,6 @@ void RunDemo(ReasoningStore& store) {
       "PREFIX ex: <http://ex.org/> "
       "SELECT ?x WHERE { ?x rdf:type ex:Mammal }",
       ".encoding off",
-      ".threads 2",
-      ".qthreads 2",
       ".mode saturation",
       ".backend flat",
       "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
@@ -620,20 +576,6 @@ int main(int argc, char** argv) {
         std::cerr << "unknown backend in " << arg << "\n";
         return EXIT_FAILURE;
       }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      int threads = 0;
-      if (!ParseThreadCount(arg.c_str() + 10, &threads)) {
-        std::cerr << "invalid thread count in " << arg << "\n";
-        return EXIT_FAILURE;
-      }
-      options.saturation.threads = threads;
-    } else if (arg.rfind("--query-threads=", 0) == 0) {
-      int threads = 0;
-      if (!ParseThreadCount(arg.c_str() + 16, &threads)) {
-        std::cerr << "invalid thread count in " << arg << "\n";
-        return EXIT_FAILURE;
-      }
-      options.query.threads = threads;
     } else if (arg == "--plan") {
       options.query.plan = true;
     } else if (arg.rfind("--encoding=", 0) == 0) {

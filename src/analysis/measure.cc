@@ -54,8 +54,7 @@ Result<MeasureReport> MeasureCostProfile(const rdf::Graph& graph,
 
   // One-time saturation cost.
   Timer timer;
-  reasoning::SaturatedGraph saturated(graph, vocab, /*enable_owl=*/false,
-                                      options.saturation);
+  reasoning::SaturatedGraph saturated(graph, vocab);
   report.costs.saturation_seconds = timer.ElapsedSeconds();
   report.closure_triples = saturated.closure().size();
 

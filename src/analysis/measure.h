@@ -8,7 +8,6 @@
 #include "query/evaluator.h"
 #include "query/query.h"
 #include "rdf/graph.h"
-#include "reasoning/saturation.h"
 #include "schema/vocabulary.h"
 
 namespace wdr::analysis {
@@ -25,19 +24,14 @@ struct UpdateSample {
 struct MeasureOptions {
   // Query evaluations are repeated and averaged.
   int query_repetitions = 3;
-  // Applied to the closure build and maintenance being measured, so the
-  // thresholds reflect the deployment's actual saturation configuration
-  // (parallel saturation lowers the amortization point).
-  reasoning::SaturationOptions saturation;
   // Applied to both evaluations being compared (q over G∞ and q_ref over
   // G), so the thresholds reflect the deployment's query configuration.
-  // Branch-parallel evaluation and the scan cache speed up the
-  // reformulated side far more than the saturated side (large unions vs.
-  // single BGPs), raising the measured saturation thresholds. The plan
-  // knob (EvaluatorOptions::plan) rides along too: with it on, both sides
-  // are measured under cost-based physical plans (statistics are built
-  // per evaluation — leave `stats` null; the graphs being measured are
-  // snapshots).
+  // The scan cache speeds up the reformulated side far more than the
+  // saturated side (large unions vs. single BGPs), raising the measured
+  // saturation thresholds. The plan knob (EvaluatorOptions::plan) rides
+  // along too: with it on, both sides are measured under cost-based
+  // physical plans (statistics are built per evaluation — leave `stats`
+  // null; the graphs being measured are snapshots).
   query::EvaluatorOptions query;
   // Measure the reformulated side under the hierarchy-aware id encoding
   // (rdf/hier_encoding.h): a snapshot of the graph is re-encoded so that

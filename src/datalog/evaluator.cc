@@ -1,10 +1,8 @@
 #include "datalog/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <set>
-#include <thread>
 
 #include "exec/executor.h"
 #include "exec/planner.h"
@@ -296,12 +294,13 @@ void FlushEvalCounters(const EvalStats& s) {
   WDR_COUNTER_ADD("wdr.datalog.rule_evaluations", s.rule_evaluations);
 }
 
-// Sequential materialization (naive or semi-naive), rule bodies routed
-// through RunBody so the plan and legacy join routes share the fixpoint
-// driver.
-Result<Database> MaterializeSequential(const DlProgram& program,
-                                       const MaterializeOptions& options,
-                                       EvalStats* stats) {
+}  // namespace
+
+// Naive or semi-naive materialization, rule bodies routed through RunBody
+// so the plan and legacy join routes share the fixpoint driver.
+Result<Database> MaterializeWithOptions(const DlProgram& program,
+                                        const MaterializeOptions& options,
+                                        EvalStats* stats) {
   WDR_RETURN_IF_ERROR(program.Validate());
   Database db(program);
   for (const DlAtom& fact : program.facts()) {
@@ -385,129 +384,10 @@ Result<Database> MaterializeSequential(const DlProgram& program,
   return db;
 }
 
-// Parallel semi-naive materialization; workers run RunBody against the
-// frozen database and their delta chunk (the plan route is read-only over
-// both, so it parallelizes exactly like BodyJoin).
-Result<Database> MaterializeParallelImpl(const DlProgram& program,
-                                         const MaterializeOptions& options,
-                                         EvalStats* stats) {
-  WDR_RETURN_IF_ERROR(program.Validate());
-  const int threads = options.threads;
-
-  Database db(program);
-  std::vector<Relation> delta;
-  delta.reserve(program.pred_count());
-  for (PredId p = 0; p < program.pred_count(); ++p) {
-    delta.emplace_back(program.pred_arity(p));
-  }
-  for (const DlAtom& fact : program.facts()) {
-    Tuple tuple;
-    tuple.reserve(fact.args.size());
-    for (const DlTerm& t : fact.args) tuple.push_back(t.id);
-    if (db.Insert(fact.pred, tuple)) delta[fact.pred].Insert(tuple);
-  }
-
-  EvalStats local;
-  while (true) {
-    ++local.iterations;
-
-    // Work items: one per (rule, delta position, tuple chunk). Workers
-    // only read `db` and their chunk; results are merged afterwards.
-    struct WorkItem {
-      const DlRule* rule;
-      size_t delta_pos;
-      Relation chunk;
-    };
-    std::vector<WorkItem> items;
-    for (const DlRule& rule : program.rules()) {
-      for (size_t pos = 0; pos < rule.body.size(); ++pos) {
-        const Relation& d = delta[rule.body[pos].pred];
-        if (d.size() == 0) continue;
-        ++local.rule_evaluations;
-        size_t chunk_count =
-            std::min<size_t>(static_cast<size_t>(threads), d.size());
-        size_t per_chunk = (d.size() + chunk_count - 1) / chunk_count;
-        for (size_t start = 0; start < d.size(); start += per_chunk) {
-          WorkItem item{&rule, pos, Relation(d.arity())};
-          size_t end = std::min(start + per_chunk, d.size());
-          for (size_t i = start; i < end; ++i) {
-            item.chunk.Insert(d.tuples()[i]);
-          }
-          items.push_back(std::move(item));
-        }
-      }
-    }
-    if (items.empty()) break;
-
-    std::vector<std::vector<Tuple>> derived(items.size());
-    std::atomic<size_t> next_item{0};
-    auto worker = [&]() {
-      while (true) {
-        size_t index = next_item.fetch_add(1);
-        if (index >= items.size()) return;
-        const WorkItem& item = items[index];
-        RunBody(db, item.rule->body, item.delta_pos, &item.chunk, options,
-                [&](const Sym* bindings) {
-                  derived[index].push_back(
-                      InstantiateHead(item.rule->head, bindings));
-                });
-      }
-    };
-    std::vector<std::thread> pool;
-    int worker_count = std::min<int>(threads, static_cast<int>(items.size()));
-    pool.reserve(worker_count);
-    for (int w = 0; w < worker_count; ++w) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-
-    // Merge phase (single-threaded): dedup against the database and build
-    // the next delta.
-    std::vector<Relation> next_delta;
-    next_delta.reserve(program.pred_count());
-    for (PredId p = 0; p < program.pred_count(); ++p) {
-      next_delta.emplace_back(program.pred_arity(p));
-    }
-    bool changed = false;
-    for (size_t index = 0; index < items.size(); ++index) {
-      PredId head_pred = items[index].rule->head.pred;
-      for (const Tuple& tuple : derived[index]) {
-        if (db.Insert(head_pred, tuple)) {
-          next_delta[head_pred].Insert(tuple);
-          changed = true;
-          ++local.derived_tuples;
-        }
-      }
-    }
-    if (!changed) break;
-    delta = std::move(next_delta);
-  }
-
-  FlushEvalCounters(local);
-  if (stats != nullptr) *stats = local;
-  return db;
-}
-
-}  // namespace
-
-Result<Database> MaterializeWithOptions(const DlProgram& program,
-                                        const MaterializeOptions& options,
-                                        EvalStats* stats) {
-  if (options.threads > 1) {
-    return MaterializeParallelImpl(program, options, stats);
-  }
-  return MaterializeSequential(program, options, stats);
-}
-
 Result<Database> Materialize(const DlProgram& program, Strategy strategy,
                              EvalStats* stats) {
   MaterializeOptions options;
   options.strategy = strategy;
-  return MaterializeWithOptions(program, options, stats);
-}
-
-Result<Database> MaterializeParallel(const DlProgram& program, int threads,
-                                     EvalStats* stats) {
-  MaterializeOptions options;
-  options.threads = threads;
   return MaterializeWithOptions(program, options, stats);
 }
 

@@ -40,7 +40,6 @@ struct BodyPlanOptions {
 // WDR_PLAN=1 in the environment flips the `plan` default on.
 struct MaterializeOptions {
   Strategy strategy = Strategy::kSemiNaive;
-  int threads = 1;  // > 1 selects the parallel semi-naive route
   bool plan = exec::PlanModeDefault();
   BodyPlanOptions plan_options;
 };
@@ -54,18 +53,6 @@ Result<Database> MaterializeWithOptions(const DlProgram& program,
 // databases (property-tested), differing only in work done.
 Result<Database> Materialize(const DlProgram& program, Strategy strategy,
                              EvalStats* stats = nullptr);
-
-// Parallel semi-naive materialization, after the paper's [29] (Motik et
-// al., AAAI'14: "parallel materialisation of datalog programs in
-// centralised, main-memory RDF systems"): within each semi-naive round,
-// the delta of every (rule, delta-position) pair is partitioned across
-// `threads` workers that join against the (read-only) current database;
-// derived tuples are merged single-threaded between rounds, so rounds are
-// barriers exactly as in [29]'s round-based variant. Produces the same
-// database as the sequential strategies (property-tested). `threads` <= 1
-// degrades to sequential semi-naive.
-Result<Database> MaterializeParallel(const DlProgram& program, int threads,
-                                     EvalStats* stats = nullptr);
 
 // Evaluates a conjunctive query (the `body` atoms, sharing variable ids)
 // against a materialized database, returning the distinct projections of

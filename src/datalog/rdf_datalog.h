@@ -47,8 +47,8 @@ Result<rdf::TripleStore> MaterializeViaDatalog(
     const rdf::Graph& graph, const schema::Vocabulary& vocab,
     Strategy strategy = Strategy::kSemiNaive, EvalStats* stats = nullptr);
 
-// Same, with the full materialization configuration (threads, the
-// wdr::exec physical-plan route, ...).
+// Same, with the full materialization configuration (strategy and the
+// wdr::exec physical-plan route).
 Result<rdf::TripleStore> MaterializeViaDatalog(
     const rdf::Graph& graph, const schema::Vocabulary& vocab,
     const MaterializeOptions& options, EvalStats* stats = nullptr);

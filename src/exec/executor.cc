@@ -476,7 +476,7 @@ bool Run(const PlanNode& plan, const std::vector<const TupleSource*>& sources,
          const ExecOptions& options, RowSink emit, obs::ProfileNode* profile) {
   const auto start = std::chrono::steady_clock::now();
   // Operator-level trace scope: inert unless tracing is on; parents to the
-  // enclosing branch/worker span (adopted via TraceContext on pool threads).
+  // enclosing branch span.
   obs::Span span("wdr.exec.run");
   Executor executor(sources, options);
   uint64_t rows = 0;

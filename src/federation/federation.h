@@ -93,14 +93,6 @@ class Federation {
 
   rdf::StorageBackend backend() const { return backend_; }
 
-  // Worker threads for the branches of the reformulated union (values < 1
-  // clamp to 1); see EvaluatorOptions::threads. Answers are identical at
-  // any thread count.
-  void SetQueryThreads(int threads) {
-    query_options_.threads = threads < 1 ? 1 : threads;
-  }
-  int query_threads() const { return query_options_.threads; }
-
   // Toggles plan-based evaluation of the reformulated union: branches
   // compile into the shared wdr::exec physical-plan IR with cost-based
   // join order and hash joins. Statistics are built once per query over

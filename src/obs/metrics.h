@@ -99,7 +99,7 @@ struct HistogramData {
 // between two loads may differ in age.
 struct MetricsSnapshot {
   // Each section is sorted by name with digit runs compared numerically
-  // ("worker.2" < "worker.10"), so snapshots — and everything rendered
+  // ("run.2" < "run.10"), so snapshots — and everything rendered
   // from them (.stats, JSON, Prometheus text) — are deterministic-ordered
   // and diffable across runs.
   std::vector<std::pair<std::string, uint64_t>> counters;

@@ -61,8 +61,7 @@ TraceBuffer& Buffer() {
 }
 
 // Innermost live traced span / enclosing trace of this thread. New spans
-// parent to tls_current_span and join tls_current_trace; TraceContextScope
-// seeds both on worker threads.
+// parent to tls_current_span and join tls_current_trace.
 thread_local uint64_t tls_current_span = 0;
 thread_local uint64_t tls_current_trace = 0;
 
@@ -156,24 +155,6 @@ size_t ExportTraceJsonLines(std::ostream& os) {
   return events.size();
 }
 
-TraceContext CurrentTraceContext() {
-  return TraceContext{tls_current_trace, tls_current_span};
-}
-
-TraceContextScope::TraceContextScope(const TraceContext& context)
-    : saved_trace_id_(tls_current_trace), saved_span_id_(tls_current_span) {
-  // A zero context means "captured outside any traced span" — adopting it
-  // must not detach whatever context this thread already has.
-  if (context.trace_id == 0 && context.span_id == 0) return;
-  tls_current_trace = context.trace_id;
-  tls_current_span = context.span_id;
-}
-
-TraceContextScope::~TraceContextScope() {
-  tls_current_trace = saved_trace_id_;
-  tls_current_span = saved_span_id_;
-}
-
 void Span::Begin(const char* name) {
   active_ = true;
   name_ = name;
@@ -184,7 +165,7 @@ void Span::Begin(const char* name) {
     parent_id_ = tls_current_span;
     saved_trace_id_ = tls_current_trace;
     // A span with no enclosing trace starts one: its own id is the trace
-    // id every descendant (on any thread, via TraceContext) carries.
+    // id every descendant carries.
     trace_id_ = tls_current_trace != 0 ? tls_current_trace : span_id_;
     tls_current_span = span_id_;
     tls_current_trace = trace_id_;

@@ -23,14 +23,9 @@ namespace wdr::obs {
 // allocation, attr copies, buffer locking) happens only while tracing is
 // enabled.
 //
-// Cross-thread propagation: span parentage is tracked per thread, so a
-// worker thread started (or woken) inside a traced region does NOT inherit
-// the enclosing span by default — its spans would surface as orphan roots.
-// The TraceContext capture/adopt API below fixes that: the dispatching
-// thread captures its context (trace id + current span id) and each worker
-// adopts it for the duration of its work, so parallel-UCQ branches,
-// saturation workers and exec operators all attach to the enclosing query
-// span and the exported trace is one tree per query at any thread count.
+// Span parentage is tracked per thread: a span parents to the innermost
+// live span of the thread that opens it, so each query traced on one
+// thread exports as one tree.
 
 // One completed span, as stored in the ring buffer.
 struct TraceEvent {
@@ -77,35 +72,6 @@ std::vector<TraceEvent> TraceEvents();
 //    "dur_ns":…,"attrs":{"rows":"42"}}
 // Returns the number of lines written.
 size_t ExportTraceJsonLines(std::ostream& os);
-
-// A capturable handle to "where am I in the trace tree": the enclosing
-// trace id and the innermost live span id of the capturing thread. Plain
-// values — safe to copy into a worker lambda or queue entry.
-struct TraceContext {
-  uint64_t trace_id = 0;
-  uint64_t span_id = 0;  // adopted as the parent of the adopter's spans
-};
-
-// Captures the calling thread's current context. Cheap (two TLS reads);
-// returns a zero context when the thread is outside any traced span.
-TraceContext CurrentTraceContext();
-
-// RAII adoption: while in scope, spans created by this thread parent to
-// `context.span_id` and join `context.trace_id` — the cross-thread half of
-// the propagation contract. Restores the thread's previous context on
-// destruction, so pooled workers never leak one query's context into the
-// next. Adopting a zero context is a no-op scope.
-class TraceContextScope {
- public:
-  explicit TraceContextScope(const TraceContext& context);
-  ~TraceContextScope();
-  TraceContextScope(const TraceContextScope&) = delete;
-  TraceContextScope& operator=(const TraceContextScope&) = delete;
-
- private:
-  uint64_t saved_trace_id_;
-  uint64_t saved_span_id_;
-};
 
 // RAII trace scope. Cheap enough to leave in hot paths: fully inert
 // unless it has a histogram sink or tracing is on.

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -39,9 +36,8 @@ uint64_t NowNanos() {
 // Cooperative-cancellation probe built from EvaluatorOptions::cancel /
 // deadline_nanos. The flag costs one relaxed load per probe; the deadline
 // clock is only read every kClockStride probes (a syscall-adjacent clock
-// read per enumerated triple would dominate small scans). Each evaluation
-// thread carries its own probe by value so the stride counter is never
-// shared; the underlying atomic flag is what coordinates across threads.
+// read per enumerated triple would dominate small scans). The flag may be
+// raised from another thread; the probe itself belongs to one evaluation.
 class CancelProbe {
  public:
   CancelProbe() = default;
@@ -70,15 +66,6 @@ class CancelProbe {
   bool expired_ = false;
 };
 
-// Lowers `target` to `value` if smaller (atomic fetch-min).
-void AtomicMin(std::atomic<size_t>& target, size_t value) {
-  size_t current = target.load(std::memory_order_relaxed);
-  while (value < current &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 // Per-atom operator statistics gathered during a profiled join. Indexed by
 // atom position in the query, not by join order, so the profile tree reads
 // in the order the query was written. Timing is one interval per atom
@@ -94,20 +81,19 @@ struct AtomStats {
 };
 
 // Cross-branch scan-signature cache, shared by every branch of one union
-// evaluation (and by every worker when the branches run in parallel).
-// Reformulated UCQs are grids of structurally similar BGPs, so the same
-// resolved (s,p,o) scans — leading atoms shared verbatim between branches,
-// and fully-ground or bound inner probes re-resolved to the same ids —
-// recur dozens of times; the cache replays a completed scan as a flat
-// vector instead of re-opening store cursors. Replayed sequences are the
-// exact triple order the live cursor produced, so answers are bit-identical
-// with the cache on or off.
+// evaluation. Reformulated UCQs are grids of structurally similar BGPs,
+// so the same resolved (s,p,o) scans — leading atoms shared verbatim
+// between branches, and fully-ground or bound inner probes re-resolved to
+// the same ids — recur dozens of times; the cache replays a completed scan
+// as a flat vector instead of re-opening store cursors. Replayed sequences
+// are the exact triple order the live cursor produced, so answers are
+// bit-identical with the cache on or off.
 //
 // Concurrency: lookups take a shared lock, insertions a unique lock.
 // Entries are never erased while the evaluation runs, so replay pointers
 // stay valid after the lock is released (values are heap vectors behind
-// stable unique_ptrs). Two workers missing the same signature may both
-// materialize it; the first insert wins and the duplicate is dropped.
+// stable unique_ptrs). If a signature is already present when a scan is
+// recorded, the first insert wins and the duplicate is dropped.
 class ScanCache {
  public:
   // Per-signature cap: scans longer than this are marked oversized and
@@ -205,83 +191,6 @@ class ScanCache {
   size_t total_triples_ = 0;  // guarded by mutex_
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
-};
-
-// Lazily-built, process-wide pool of parked query workers. Branch-parallel
-// union evaluation is latency-sensitive — whole evaluations complete in
-// microseconds to milliseconds — and creating a handful of threads costs
-// ~100µs, an order of magnitude more than waking parked ones. The pool
-// grows to the largest worker count ever requested and parks its threads
-// between queries; threads live for the rest of the process (the singleton
-// is deliberately leaked so no destructor ever races a parked worker).
-// One dispatch runs at a time; concurrent dispatches from different
-// evaluator instances serialize on the dispatch mutex.
-class WorkerPool {
- public:
-  static WorkerPool& Get() {
-    static WorkerPool* pool = new WorkerPool();
-    return *pool;
-  }
-
-  // Runs job(id) for id in [1, extra] on pool threads while the calling
-  // thread runs job(0); returns when every invocation has finished.
-  // `job` must not re-enter Dispatch (a pool worker blocking on the
-  // dispatch mutex while its own dispatcher waits for it would deadlock).
-  void Dispatch(int extra, const std::function<void(int)>& job) {
-    if (extra <= 0) {
-      job(0);
-      return;
-    }
-    std::unique_lock<std::mutex> dispatch_lock(dispatch_mutex_);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      while (static_cast<int>(threads_.size()) < extra) {
-        const int id = static_cast<int>(threads_.size()) + 1;
-        threads_.emplace_back([this, id] { WorkerLoop(id); });
-      }
-      job_ = &job;
-      active_ = extra;
-      remaining_ = extra;
-      ++generation_;
-    }
-    work_ready_.notify_all();
-    job(0);  // the caller's share, concurrent with the pool workers
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&] { return remaining_ == 0; });
-    job_ = nullptr;
-  }
-
- private:
-  WorkerPool() = default;
-
-  void WorkerLoop(int id) {
-    uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(int)>* job = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        work_ready_.wait(lock, [&] { return generation_ != seen; });
-        seen = generation_;
-        if (id > active_) continue;  // this round needs fewer workers
-        job = job_;
-      }
-      (*job)(id);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (--remaining_ == 0) done_.notify_one();
-      }
-    }
-  }
-
-  std::mutex dispatch_mutex_;  // serializes whole dispatches
-  std::mutex mutex_;           // guards all state below
-  std::condition_variable work_ready_;
-  std::condition_variable done_;
-  std::vector<std::thread> threads_;
-  const std::function<void(int)>* job_ = nullptr;
-  int active_ = 0;
-  int remaining_ = 0;
-  uint64_t generation_ = 0;
 };
 
 // Resolves a pattern position under the current bindings: a constant, a
@@ -623,8 +532,7 @@ void FillAtomProfile(obs::ProfileNode& parent, const BgpQuery& q,
 // replayed from the memoized flat vectors exactly as the legacy join's
 // Match does (same keys, same eager/lazy split, same oversized markers),
 // and cardinality estimates reuse the memo. One instance serves one
-// single-threaded executor; parallel workers construct their own (the
-// underlying ScanCache itself is the thread-safe shared layer).
+// executor.
 template <typename Store>
 class CachedStoreSource final : public exec::TupleSource {
  public:
@@ -970,9 +878,8 @@ size_t MaxRowsNeeded(const UnionQuery& q) {
 // hides the signal. Branches past the cap fold into one aggregate node.
 constexpr size_t kMaxProfiledBranches = 8;
 
-// The reference union evaluation: branches in order, one global hash-set
-// dedup, early break once the row budget is met. The parallel path below
-// is differential-tested to reproduce this output bit for bit.
+// Union evaluation: branches in order, one global hash-set dedup, early
+// break once the row budget is met.
 template <typename Store>
 ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
                                   const EvaluatorOptions& options,
@@ -1085,276 +992,6 @@ ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
   return result;
 }
 
-// Everything one parallel worker produces for one branch. Workers write
-// only their own branches' slots; the merge thread reads them after the
-// join, so no slot is ever touched concurrently.
-struct BranchOutput {
-  std::vector<Row> rows;        // locally deduped, first-occurrence order
-  std::vector<AtomStats> stats; // filled only when profiling (legacy path)
-  obs::ProfileNode plan_profile;  // operator tree (plan path, profiling)
-  uint64_t nanos = 0;           // branch wall time (profiling only)
-  double est_rows = -1;         // planner's estimate (plan mode only)
-  bool evaluated = false;       // cancelled branches stay false
-};
-
-// Evaluates one branch into `out`, de-duplicating through the worker's
-// accumulated `seen` set. A worker claims chunks off a monotone cursor, so
-// the branches one worker evaluates form a strictly increasing sequence;
-// a row suppressed here as already-seen was therefore recorded in one of
-// THIS worker's earlier (lower-index) branch outputs, which the in-order
-// merge consumes first — the merge would have dropped the duplicate
-// anyway, so suppression leaves the merged stream bit-identical while
-// keeping branch buffers near distinct-row size. `worker_rows` counts the
-// rows this worker has kept across all its branches; for bounded queries
-// (ASK / LIMIT), every kept row reaches the merge at or before the current
-// branch, so `worker_rows >= max_rows` guarantees the in-order merge meets
-// its budget by this branch and every later branch is cancelled through
-// `stop_after`. Cancellation never changes the result: the merge never
-// consumes a branch past `stop_after`.
-template <typename Store>
-void EvaluateBranch(const Store& store, const BgpQuery& branch,
-                    size_t branch_index, const EvaluatorOptions& options,
-                    ScanCache* cache, const exec::Statistics* plan_stats,
-                    size_t max_rows, std::atomic<size_t>& stop_after,
-                    bool profiled, std::unordered_set<Row, RowHash>& seen,
-                    Row& scratch, size_t& worker_rows, CancelProbe& probe,
-                    BranchOutput& out) {
-  out.evaluated = true;
-  obs::Span branch_span("wdr.query.branch");
-  branch_span.AddAttr("branch", static_cast<uint64_t>(branch_index));
-  const uint64_t start = NowNanos();
-  auto emit_unbounded = [&](Row& row) {
-    if (seen.insert(row).second) out.rows.push_back(row);
-    return !probe.Expired();
-  };
-  auto emit_bounded = [&](Row& row) {
-    if (stop_after.load(std::memory_order_relaxed) < branch_index) {
-      return false;  // a lower branch already satisfies the budget
-    }
-    if (seen.insert(row).second) {
-      out.rows.push_back(row);
-      ++worker_rows;
-    }
-    if (worker_rows >= max_rows) {
-      AtomicMin(stop_after, branch_index);
-      return false;
-    }
-    return !probe.Expired();
-  };
-  if (options.plan) {
-    exec::CompiledPlan plan = PlanBgpBranch(store, branch, options, plan_stats);
-    out.est_rows = plan.est_rows;
-    const size_t hint = ReserveHint(plan.est_rows);
-    if (hint > 0) {
-      if (seen.size() + hint > seen.bucket_count()) {
-        seen.reserve(seen.size() + hint);
-      }
-      out.rows.reserve(hint);
-    }
-    obs::ProfileNode* plan_profile = profiled ? &out.plan_profile : nullptr;
-    if (max_rows == SIZE_MAX) {
-      ExecutePlannedBranch(store, plan, options, cache, /*eager=*/true,
-                           plan_profile, scratch, emit_unbounded);
-    } else {
-      ExecutePlannedBranch(store, plan, options, cache, /*eager=*/false,
-                           plan_profile, scratch, emit_bounded);
-    }
-    out.nanos = NowNanos() - start;
-    return;
-  }
-  BgpJoin<Store> join(store, branch, options.greedy_join_order);
-  join.set_scan_cache(cache, /*eager=*/max_rows == SIZE_MAX);
-  if (probe.enabled()) join.set_cancel(&probe);
-  if (profiled) {
-    out.stats.resize(branch.atoms().size());
-    join.set_stats(&out.stats);
-  }
-  if (max_rows == SIZE_MAX) {
-    join.Run([&](const std::vector<TermId>& bindings) {
-      ProjectRowInto(branch, bindings, scratch);
-      emit_unbounded(scratch);
-    });
-  } else {
-    join.Run([&](const std::vector<TermId>& bindings) {
-      ProjectRowInto(branch, bindings, scratch);
-      return emit_bounded(scratch);
-    });
-  }
-  out.nanos = NowNanos() - start;
-}
-
-// Branch-parallel union evaluation, mirroring the saturator's design:
-// branches are split into contiguous chunks (a few per worker) claimed off
-// an atomic cursor; workers evaluate against the frozen store — safe under
-// the StoreView readers-concurrent contract — into per-branch buffers, and
-// a single thread merges the buffers IN BRANCH ORDER through one hash-set
-// dedup. The merged row stream is therefore the sequential stream: results
-// are bit-identical at every thread count. ASK/LIMIT cancellation is the
-// `stop_after` branch bound (see EvaluateBranch); the merge consumes no
-// branch past it, so cancelled work is work the sequential evaluation
-// would not have needed either.
-template <typename Store>
-ResultSet EvaluateUnionParallel(const Store& store, const UnionQuery& q,
-                                const EvaluatorOptions& options,
-                                ScanCache* cache,
-                                const exec::Statistics* plan_stats,
-                                int workers, obs::ProfileNode* profile,
-                                const rdf::Dictionary* dict) {
-  static obs::Histogram& branch_wait =
-      obs::MetricsRegistry::Get().GetHistogram("wdr.query.branch_wait");
-
-  const size_t n = q.branches().size();
-  const size_t max_rows = MaxRowsNeeded(q);
-  const bool profiled = profile != nullptr;
-
-  // A few chunks per worker: branch costs are skewed (one unselective
-  // disjunct can dominate), and small chunks let the other workers drain
-  // the rest meanwhile.
-  const size_t target_chunks = static_cast<size_t>(workers) * 4;
-  const size_t chunk_size =
-      std::max<size_t>(1, (n + target_chunks - 1) / target_chunks);
-  const size_t num_chunks = (n + chunk_size - 1) / chunk_size;
-
-  std::vector<BranchOutput> outputs(n);
-  std::atomic<size_t> next_chunk{0};
-  std::atomic<size_t> stop_after{SIZE_MAX};
-  std::vector<uint64_t> busy_nanos(static_cast<size_t>(workers), 0);
-
-  // Capture the dispatching thread's trace position so the pool workers'
-  // spans attach to the enclosing query span instead of surfacing as
-  // orphan roots (span parentage is thread-local; see obs/trace.h).
-  const obs::TraceContext trace_context = obs::CurrentTraceContext();
-
-  auto work = [&](int worker_id) {
-    obs::TraceContextScope trace_scope(trace_context);
-    obs::Span worker_span("wdr.query.worker");
-    worker_span.AddAttr("worker", static_cast<uint64_t>(worker_id));
-    const uint64_t start = NowNanos();
-    uint64_t branches_done = 0;
-    uint64_t rows_built = 0;
-    // Worker-lifetime dedup state; see EvaluateBranch for why sharing the
-    // seen-set across one worker's (increasing) branches is sound.
-    std::unordered_set<Row, RowHash> seen;
-    Row scratch;
-    size_t worker_rows = 0;
-    // Worker-local probe: the stride counter must not be shared, while the
-    // underlying cancel flag/deadline are common to all workers.
-    CancelProbe probe(options);
-    for (;;) {
-      if (probe.enabled() && probe.Expired()) break;
-      const size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) break;
-      const size_t lo = c * chunk_size;
-      const size_t hi = std::min(n, lo + chunk_size);
-      for (size_t b = lo; b < hi; ++b) {
-        if (b > stop_after.load(std::memory_order_relaxed)) continue;
-        if (probe.enabled() && probe.Expired()) break;
-        EvaluateBranch(store, q.branches()[b], b, options, cache, plan_stats,
-                       max_rows, stop_after, profiled, seen, scratch,
-                       worker_rows, probe, outputs[b]);
-        ++branches_done;
-        rows_built += outputs[b].rows.size();
-      }
-    }
-    busy_nanos[static_cast<size_t>(worker_id)] = NowNanos() - start;
-    if (branches_done != 0) {
-      obs::MetricsRegistry::Get()
-          .GetCounter("wdr.query.worker." + std::to_string(worker_id) +
-                      ".branches")
-          .Add(branches_done);
-      obs::MetricsRegistry::Get()
-          .GetCounter("wdr.query.worker." + std::to_string(worker_id) +
-                      ".rows")
-          .Add(rows_built);
-    }
-  };
-
-  WorkerPool::Get().Dispatch(workers - 1, work);
-
-  if (options.collect != nullptr) {
-    EvalStats& collect = *options.collect;
-    for (const BranchOutput& out : outputs) {
-      if (!out.evaluated) continue;
-      ++collect.branches;
-      if (out.est_rows >= 0) {
-        collect.est_rows =
-            (collect.est_rows < 0 ? 0 : collect.est_rows) + out.est_rows;
-      }
-    }
-  }
-
-  // Idle-at-the-barrier time per worker (how long each waited on the
-  // slowest); large values mean skewed branch costs.
-  const uint64_t slowest =
-      *std::max_element(busy_nanos.begin(), busy_nanos.end());
-  for (uint64_t busy : busy_nanos) branch_wait.RecordNanos(slowest - busy);
-
-  // In-order merge: identical to the sequential dedup stream.
-  ResultSet result;
-  result.var_names = q.branches().front().ProjectionNames();
-  std::unordered_set<Row, RowHash> seen;
-  std::vector<size_t> contributed(profiled ? n : 0, 0);
-  const size_t last =
-      std::min(stop_after.load(std::memory_order_relaxed), n - 1);
-  for (size_t b = 0; b <= last && result.rows.size() < max_rows; ++b) {
-    const size_t rows_before = result.rows.size();
-    for (Row& row : outputs[b].rows) {
-      if (seen.insert(row).second) {
-        result.rows.push_back(std::move(row));
-        if (result.rows.size() >= max_rows) break;
-      }
-    }
-    if (profiled) contributed[b] = result.rows.size() - rows_before;
-  }
-
-  if (profiled) {
-    // Same shape as the sequential profile; `rows` is the branch's merge
-    // contribution. Under cancellation the evaluated set can differ from a
-    // sequential run's (workers may finish branches the merge never
-    // needed) — the profile reports work actually done.
-    obs::ProfileNode* overflow = nullptr;
-    size_t overflow_branches = 0;
-    for (size_t b = 0; b < n; ++b) {
-      if (!outputs[b].evaluated) continue;
-      obs::ProfileNode* branch_node = nullptr;
-      if (b < kMaxProfiledBranches) {
-        branch_node = &profile->AddChild("branch " + std::to_string(b));
-      } else {
-        if (overflow == nullptr) overflow = &profile->AddChild("");
-        branch_node = overflow;
-        ++overflow_branches;
-      }
-      branch_node->rows += b < contributed.size() ? contributed[b] : 0;
-      branch_node->seconds += static_cast<double>(outputs[b].nanos) * 1e-9;
-      if (branch_node == overflow) {
-        if (options.plan) {
-          branch_node->scans += outputs[b].plan_profile.TotalScans();
-          branch_node->triples += outputs[b].plan_profile.TotalTriples();
-        } else {
-          for (const AtomStats& as : outputs[b].stats) {
-            branch_node->scans += as.scans;
-            branch_node->triples += as.triples;
-          }
-        }
-      } else if (options.plan) {
-        // Workers filled a detached operator tree (ProfileNode is not
-        // concurrency-safe); adopt its children under the branch node.
-        for (auto& child : outputs[b].plan_profile.children) {
-          branch_node->children.push_back(std::move(child));
-        }
-      } else {
-        FillAtomProfile(*branch_node, q.branches()[b], dict,
-                        outputs[b].stats);
-      }
-    }
-    if (overflow != nullptr) {
-      overflow->label =
-          "(+" + std::to_string(overflow_branches) + " more branches)";
-    }
-  }
-  return result;
-}
-
 template <typename Store>
 ResultSet EvaluateUnionQuery(const Store& store, const UnionQuery& q,
                              const EvaluatorOptions& options,
@@ -1370,23 +1007,15 @@ ResultSet EvaluateUnionQuery(const Store& store, const UnionQuery& q,
   ScanCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
 
   // Plan-mode statistics: one build (or one staleness check of the
-  // caller's) per union evaluation, shared read-only by every branch and
-  // worker. Null keeps the planner on its degraded bound-first path.
+  // caller's) per union evaluation, shared read-only by every branch.
+  // Null keeps the planner on its degraded bound-first path.
   std::optional<exec::Statistics> local_stats;
   const exec::Statistics* plan_stats =
       options.plan ? UsableStats(store, options, local_stats) : nullptr;
 
-  const size_t n = q.branches().size();
-  const int workers = static_cast<int>(std::min<size_t>(
-      options.threads < 1 ? 1 : static_cast<size_t>(options.threads), n));
-
   const uint64_t start = NowNanos();
-  ResultSet result =
-      workers > 1
-          ? EvaluateUnionParallel(store, q, options, cache_ptr, plan_stats,
-                                  workers, profile, dict)
-          : EvaluateUnionSequential(store, q, options, cache_ptr, plan_stats,
-                                    profile, dict);
+  ResultSet result = EvaluateUnionSequential(store, q, options, cache_ptr,
+                                             plan_stats, profile, dict);
   if (profile != nullptr) {
     profile->rows += result.rows.size();
     profile->seconds += static_cast<double>(NowNanos() - start) * 1e-9;

@@ -65,21 +65,12 @@ struct EvaluatorOptions {
   // When set, profile-node operator labels render terms through this
   // dictionary instead of as raw ids.
   const rdf::Dictionary* dict = nullptr;
-  // Worker threads for the branches of a UnionQuery (values < 1 clamp
-  // to 1). Branches are partitioned into contiguous chunks claimed off an
-  // atomic cursor; workers evaluate against the frozen store (the
-  // StoreView readers-concurrent contract) into per-branch row buffers,
-  // and a single thread merges the buffers in branch order — so the
-  // result is bit-identical to the sequential evaluation at any thread
-  // count. ASK/LIMIT cancel outstanding branches through a shared atomic
-  // branch bound once some branch alone satisfies the row budget.
-  int threads = 1;
   // Cross-branch scan-signature cache: reformulated branches repeatedly
   // issue identical resolved (s,p,o) scans, so each union evaluation
-  // memoizes completed small scans and replays them as flat vectors,
-  // shared read-only across workers. Answers are identical either way
-  // (a cached scan is the exact triple sequence of the live cursor);
-  // wdr.query.scan_cache.{hits,misses} measure effectiveness.
+  // memoizes completed small scans and replays them as flat vectors.
+  // Answers are identical either way (a cached scan is the exact triple
+  // sequence of the live cursor); wdr.query.scan_cache.{hits,misses}
+  // measure effectiveness.
   bool scan_cache = true;
   // Compile each BGP/branch into the shared wdr::exec physical-plan IR —
   // cost-based join order AND join algorithm (hash join vs bound-first

@@ -141,9 +141,9 @@ class FlatTripleStore final : public StoreView {
   // Main-array triples erased since the last merge (s/p/o space).
   std::unordered_set<Triple, TripleHash> tombstones_;
   // Open cursors holding pointers into main_; merges are deferred while
-  // any scan is live. Atomic because concurrent *readers* (parallel
-  // saturation workers scanning a frozen store) open and close cursors
-  // from several threads at once; relaxed ordering suffices since the
+  // any scan is live. Atomic because concurrent *readers* (server sessions
+  // scanning a published snapshot) open and close cursors from several
+  // threads at once; relaxed ordering suffices since the
   // count only gates compaction, which runs on the (single) writer thread.
   mutable std::atomic<size_t> open_scans_{0};
   // Reader-held epoch pins (see StoreView::PinEpoch); same deferral rule

@@ -251,9 +251,9 @@ bool ParseStorageBackend(std::string_view name, StorageBackend* backend);
 // concurrently (Contains/Count/EstimateCount/OpenScan/Match/ToVector) as
 // long as no thread mutates it — backends keep their read paths free of
 // non-atomic mutable state. Mutations require exclusive access; there is
-// no internal locking. Parallel saturation relies on exactly this split:
-// worker threads scan a frozen closure, and a single merge thread writes
-// between rounds.
+// no internal locking. The server's snapshot reads rely on exactly this
+// split: session threads scan a published store while the single writer
+// mutates only the unpublished one.
 class StoreView {
  public:
   // Dependent names generic adapters (exec::StoreSource) use to push range

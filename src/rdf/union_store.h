@@ -44,8 +44,7 @@ class UnionStore {
 
   // Turns on per-member accounting (off by default: the counters sit on
   // the match hot path). Resets any previous stats. The counters are
-  // relaxed atomics so concurrent readers (parallel union-query branches
-  // scanning the federation) account without racing.
+  // relaxed atomics so concurrent readers account without racing.
   void EnableMemberStats() const {
     stats_size_ = members_.size();
     stats_ = std::make_unique<AtomicMemberStats[]>(stats_size_);

@@ -18,9 +18,8 @@ using rdf::TripleHash;
 
 SaturatedGraph::SaturatedGraph(const rdf::Graph& base,
                                const schema::Vocabulary& vocab,
-                               bool enable_owl,
-                               const SaturationOptions& options)
-    : base_(base), vocab_(vocab), enable_owl_(enable_owl), options_(options) {
+                               bool enable_owl)
+    : base_(base), vocab_(vocab), enable_owl_(enable_owl) {
   Rebuild();
 }
 
@@ -29,7 +28,6 @@ SaturatedGraph::SaturatedGraph(const SaturatedGraph& other)
       closure_(other.closure_->Clone()),
       vocab_(other.vocab_),
       enable_owl_(other.enable_owl_),
-      options_(other.options_),
       stats_(other.stats_),
       initial_stats_(other.initial_stats_) {}
 
@@ -39,7 +37,6 @@ SaturatedGraph& SaturatedGraph::operator=(const SaturatedGraph& other) {
   closure_ = other.closure_->Clone();
   vocab_ = other.vocab_;
   enable_owl_ = other.enable_owl_;
-  options_ = other.options_;
   stats_ = other.stats_;
   initial_stats_ = other.initial_stats_;
   return *this;
@@ -50,8 +47,7 @@ void SaturatedGraph::Rebuild() {
   closure_ = rdf::MakeStore(base_.backend());
   // The store is freshly constructed (empty), so this cannot fail.
   Status status =
-      saturator.SaturateInto(base_.store(), *closure_, options_,
-                             &initial_stats_);
+      saturator.SaturateInto(base_.store(), *closure_, &initial_stats_);
   (void)status;
 }
 
@@ -60,8 +56,7 @@ size_t SaturatedGraph::Insert(const Triple& t) {
   ++stats_.inserts;
   WDR_COUNTER_INC("wdr.maintenance.inserts");
   if (!closure_->Insert(t)) return 0;  // already entailed
-  size_t added =
-      1 + PropagateRounds(MakeEngine(), *closure_, {t}, options_);
+  size_t added = 1 + Propagate(MakeEngine(), *closure_, {t});
   stats_.closure_added += added;
   WDR_COUNTER_ADD("wdr.maintenance.closure_added", added);
   return added;
@@ -99,8 +94,7 @@ size_t SaturatedGraph::Erase(const Triple& t) {
   // still follow from the surviving closure come back, propagating through
   // the normal insertion path. Iterate to fixpoint: a re-derived triple can
   // in turn justify another over-deleted one. Each batch of rediscovered
-  // triples propagates via PropagateRounds, so re-derivation parallelizes
-  // with the same round-barrier machinery as the initial build.
+  // triples propagates with the same engine as the initial build.
   std::vector<Triple> candidates(overdeleted.begin(), overdeleted.end());
   size_t rederived = 0;
   // Base facts first: they are unconditionally present.
@@ -108,8 +102,7 @@ size_t SaturatedGraph::Erase(const Triple& t) {
   for (const Triple& u : candidates) {
     if (base_.Contains(u) && closure_->Insert(u)) batch.push_back(u);
   }
-  rederived += batch.size() +
-               PropagateRounds(engine, *closure_, std::move(batch), options_);
+  rederived += batch.size() + Propagate(engine, *closure_, std::move(batch));
   bool changed = true;
   while (changed) {
     changed = false;
@@ -122,8 +115,8 @@ size_t SaturatedGraph::Erase(const Triple& t) {
       }
     }
     if (!batch.empty()) {
-      rederived += batch.size() + PropagateRounds(engine, *closure_,
-                                                  std::move(batch), options_);
+      rederived +=
+          batch.size() + Propagate(engine, *closure_, std::move(batch));
       changed = true;
     }
   }

@@ -36,12 +36,9 @@ class SaturatedGraph {
  public:
   // Snapshots `base` and computes the initial closure, stored in the same
   // storage backend as `base`. `enable_owl` adds the RDFS++ extension rules
-  // (rules.h) to both saturation and maintenance. `options` (notably
-  // `threads`) applies to the initial build, Rebuild(), and the propagation
-  // phases of Insert()/Erase() — the closure is identical either way.
+  // (rules.h) to both saturation and maintenance.
   SaturatedGraph(const rdf::Graph& base, const schema::Vocabulary& vocab,
-                 bool enable_owl = false,
-                 const SaturationOptions& options = {});
+                 bool enable_owl = false);
 
   // Copies snapshot the closure store (unique_ptr member, so spelled out).
   SaturatedGraph(const SaturatedGraph& other);
@@ -71,13 +68,6 @@ class SaturatedGraph {
   const MaintenanceStats& stats() const { return stats_; }
   const SaturationStats& initial_saturation() const { return initial_stats_; }
 
-  // Saturation knobs for future propagation work; takes effect on the next
-  // Insert/Erase/Rebuild (no rebuild is triggered by setting them).
-  const SaturationOptions& saturation_options() const { return options_; }
-  void set_saturation_options(const SaturationOptions& options) {
-    options_ = options;
-  }
-
  private:
   // The rule engine is constructed per call: it holds a pointer to the
   // dictionary, which must track this object across copies and moves.
@@ -89,7 +79,6 @@ class SaturatedGraph {
   std::unique_ptr<rdf::StoreView> closure_;
   schema::Vocabulary vocab_;
   bool enable_owl_ = false;
-  SaturationOptions options_;
   MaintenanceStats stats_;
   SaturationStats initial_stats_;
 };

@@ -83,27 +83,6 @@ Status ApplySetting(SessionStateImpl& session, std::string_view key,
   }
   if (key == "plan") return parse_bool(&session.read_options.plan);
   if (key == "encoding") return parse_bool(&session.read_options.encoding);
-  if (key == "threads") {
-    if (value == "default") {
-      session.read_options.threads.reset();
-      return Status::Ok();
-    }
-    int threads = 0;
-    for (char c : value) {
-      if (c < '0' || c > '9') {
-        return InvalidArgumentError("threads must be a number");
-      }
-      threads = threads * 10 + (c - '0');
-      if (threads > 1024) return InvalidArgumentError("threads too large");
-    }
-    if (value.empty()) return InvalidArgumentError("threads must be a number");
-    if (threads == 0) {  // alternate reset spelling
-      session.read_options.threads.reset();
-    } else {
-      session.read_options.threads = threads;
-    }
-    return Status::Ok();
-  }
   if (key == "timeout_ms") {
     uint64_t ms = 0;
     for (char c : value) {

@@ -19,8 +19,6 @@ std::string SettingsKey(const store::ReadOptions& options) {
   key += '|';
   key += options.plan.has_value() ? (*options.plan ? '1' : '0') : '-';
   key += options.encoding.has_value() ? (*options.encoding ? '1' : '0') : '-';
-  key += '|';
-  key += options.threads.has_value() ? std::to_string(*options.threads) : "-";
   return key;
 }
 

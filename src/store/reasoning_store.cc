@@ -110,8 +110,7 @@ ReasoningStore::ReasoningStore(ReasoningStoreOptions options)
       graph_(options.backend),
       vocab_(schema::Vocabulary::Intern(graph_.dict())) {
   if (options_.mode == ReasoningMode::kSaturation) {
-    saturated_.emplace(graph_, vocab_, /*enable_owl=*/false,
-                       options_.saturation);
+    saturated_.emplace(graph_, vocab_, /*enable_owl=*/false);
   }
 }
 
@@ -127,8 +126,7 @@ void ReasoningStore::SetMode(ReasoningMode mode) {
   closure_stats_cache_.reset();
   if (mode == ReasoningMode::kSaturation) {
     if (!saturated_.has_value()) {
-      saturated_.emplace(graph_, vocab_, /*enable_owl=*/false,
-                         options_.saturation);
+      saturated_.emplace(graph_, vocab_, /*enable_owl=*/false);
     }
   } else if (mode == ReasoningMode::kAuto) {
     // Inherit whatever closure exists (a warm start from kSaturation);
@@ -148,20 +146,8 @@ void ReasoningStore::SetBackend(rdf::StorageBackend backend) {
   graph_.SetBackend(backend);
   // The closure store follows the base graph's backend; rebuild it.
   if (saturated_.has_value()) {
-    saturated_.emplace(graph_, vocab_, /*enable_owl=*/false,
-                       options_.saturation);
+    saturated_.emplace(graph_, vocab_, /*enable_owl=*/false);
   }
-}
-
-void ReasoningStore::SetSaturationThreads(int threads) {
-  options_.saturation.threads = threads < 1 ? 1 : threads;
-  if (saturated_.has_value()) {
-    saturated_->set_saturation_options(options_.saturation);
-  }
-}
-
-void ReasoningStore::SetQueryThreads(int threads) {
-  options_.query.threads = threads < 1 ? 1 : threads;
 }
 
 void ReasoningStore::RecloseSchema() {
@@ -232,8 +218,7 @@ void ReasoningStore::RebuildEncoding() {
   }
   vocab_ = schema::Vocabulary::Intern(graph_.dict());
   if (saturated_.has_value()) {
-    saturated_.emplace(graph_, vocab_, /*enable_owl=*/false,
-                       options_.saturation);
+    saturated_.emplace(graph_, vocab_, /*enable_owl=*/false);
   }
   schema_cache_.reset();
   stats_cache_.reset();
@@ -335,8 +320,7 @@ Result<size_t> ReasoningStore::LoadTurtle(std::string_view text) {
   WDR_ASSIGN_OR_RETURN(size_t added, io::ParseTurtle(text, graph_));
   OnUpdate(/*schema_changed=*/true);
   if (saturated_.has_value()) {
-    saturated_.emplace(graph_, vocab_, /*enable_owl=*/false,
-                       options_.saturation);
+    saturated_.emplace(graph_, vocab_, /*enable_owl=*/false);
   }
   WDR_COUNTER_ADD("wdr.store.loaded_triples", added);
   span.AddAttr("triples", static_cast<uint64_t>(added));
@@ -348,8 +332,7 @@ Result<size_t> ReasoningStore::LoadNTriples(std::string_view text) {
   WDR_ASSIGN_OR_RETURN(size_t added, io::ParseNTriples(text, graph_));
   OnUpdate(/*schema_changed=*/true);
   if (saturated_.has_value()) {
-    saturated_.emplace(graph_, vocab_, /*enable_owl=*/false,
-                       options_.saturation);
+    saturated_.emplace(graph_, vocab_, /*enable_owl=*/false);
   }
   WDR_COUNTER_ADD("wdr.store.loaded_triples", added);
   span.AddAttr("triples", static_cast<uint64_t>(added));
@@ -560,9 +543,6 @@ Result<PreparedQuery> ReasoningStore::PrepareInternal(
   query::EvaluatorOptions eval = options_.query;
   eval.dict = &graph_.dict();
   eval.plan = ropts.plan.value_or(eval.plan);
-  if (ropts.threads.has_value()) {
-    eval.threads = *ropts.threads < 1 ? 1 : *ropts.threads;
-  }
   eval.cancel = ropts.cancel;
   eval.deadline_nanos = ropts.deadline_nanos;
 
@@ -623,8 +603,7 @@ Result<PreparedQuery> ReasoningStore::PrepareInternal(
     // closure — so it only happens on non-frozen (externally synchronized)
     // prepares.
     if (decision.materialize_closure && !saturated_.has_value()) {
-      saturated_.emplace(graph_, vocab_, /*enable_owl=*/false,
-                         options_.saturation);
+      saturated_.emplace(graph_, vocab_, /*enable_owl=*/false);
       closure_stats_cache_.reset();
       selector.ClosureMaterialized();
       decision.closure_available = true;

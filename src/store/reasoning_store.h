@@ -74,12 +74,8 @@ struct ReasoningStoreOptions {
   rdf::StorageBackend backend = rdf::StorageBackend::kOrdered;
   // Passed through to the reformulation engine (kReformulation mode).
   reformulation::ReformulationOptions reformulation;
-  // Passed through to the saturator (kSaturation mode): threads for the
-  // closure build and for DRed re-derivation. Answers are identical at any
-  // thread count.
-  reasoning::SaturationOptions saturation;
-  // Passed through to the query evaluator in every mode: union-branch
-  // worker threads and the cross-branch scan cache (most effective in
+  // Passed through to the query evaluator in every mode: join order, the
+  // plan route and the cross-branch scan cache (most effective in
   // kReformulation mode, where unions are large). Answers are identical
   // at any setting.
   query::EvaluatorOptions query;
@@ -112,8 +108,6 @@ struct ReadOptions {
   // an encoding-enabled store rewrites through a plain (classic)
   // reformulator instead of the interval-collapsing one.
   std::optional<bool> encoding;
-  // Union-branch worker threads override (values < 1 clamp to 1).
-  std::optional<int> threads;
   // Cooperative cancellation, threaded into the evaluator (see
   // query::EvaluatorOptions): Execute returns Cancelled once `*cancel` is
   // true, DeadlineExceeded once `deadline_nanos` (absolute steady-clock
@@ -295,19 +289,6 @@ class ReasoningStore {
   // Switches the storage engine at run time, carrying the data over (and
   // rebuilding the closure in saturation mode). No-op if unchanged.
   void SetBackend(rdf::StorageBackend backend);
-
-  // Sets the saturation worker-thread count for subsequent closure builds
-  // and maintenance propagation (values < 1 clamp to 1). Does not trigger
-  // a rebuild — the current closure is already correct.
-  void SetSaturationThreads(int threads);
-  int saturation_threads() const { return options_.saturation.threads; }
-
-  // Sets the worker-thread count for the branches of subsequent union
-  // queries (values < 1 clamp to 1) — most useful in kReformulation mode,
-  // where reformulated unions carry many branches. Answers are identical
-  // at any thread count.
-  void SetQueryThreads(int threads);
-  int query_threads() const { return options_.query.threads; }
 
   // Toggles plan-based evaluation: queries (and, in kBackward mode, the
   // chaining join) compile into the shared wdr::exec physical-plan IR with

@@ -158,67 +158,6 @@ TEST(RelationTest, ProbeFindsByColumn) {
   EXPECT_EQ(r.size(), 3u);
 }
 
-TEST(DatalogParallelTest, SingleThreadDegradesToSequential) {
-  DlProgram p = MustParse(
-      "edge(a, b). edge(b, c).\n"
-      "path(X, Y) :- edge(X, Y).\n"
-      "path(X, Z) :- path(X, Y), edge(Y, Z).\n");
-  auto sequential = Materialize(p, Strategy::kSemiNaive);
-  auto parallel = MaterializeParallel(p, 1);
-  ASSERT_TRUE(sequential.ok());
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(Tuples(p, *sequential, "path"), Tuples(p, *parallel, "path"));
-}
-
-TEST(DatalogParallelTest, MultiThreadMatchesSequential) {
-  DlProgram p = MustParse(
-      "edge(a, b). edge(b, c). edge(c, d). edge(d, a). edge(a, e).\n"
-      "path(X, Y) :- edge(X, Y).\n"
-      "path(X, Z) :- path(X, Y), edge(Y, Z).\n");
-  EvalStats stats;
-  auto sequential = Materialize(p, Strategy::kSemiNaive);
-  auto parallel = MaterializeParallel(p, 4, &stats);
-  ASSERT_TRUE(sequential.ok());
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(Tuples(p, *sequential, "path"), Tuples(p, *parallel, "path"));
-  EXPECT_GT(stats.iterations, 1u);
-}
-
-TEST(DatalogParallelTest, EmptyProgram) {
-  DlProgram p = MustParse("");
-  auto db = MaterializeParallel(p, 4);
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ(db->TotalTuples(), 0u);
-}
-
-// Property: parallel materialization equals sequential on random programs
-// and random thread counts.
-TEST(DatalogParallelPropertyTest, MatchesSequentialOnRandomGraphs) {
-  for (uint64_t seed = 50; seed < 60; ++seed) {
-    Rng rng(seed);
-    std::string text;
-    const int nodes = 9;
-    for (int i = 0; i < 20; ++i) {
-      text += "edge(n" + std::to_string(rng.Uniform(0, nodes - 1)) + ", n" +
-              std::to_string(rng.Uniform(0, nodes - 1)) + ").\n";
-    }
-    text +=
-        "path(X, Y) :- edge(X, Y).\n"
-        "path(X, Z) :- path(X, Y), edge(Y, Z).\n"
-        "loopy(X) :- path(X, X).\n";
-    DlProgram p = MustParse(text);
-    auto sequential = Materialize(p, Strategy::kSemiNaive);
-    auto parallel = MaterializeParallel(
-        p, static_cast<int>(rng.Uniform(2, 6)));
-    ASSERT_TRUE(sequential.ok());
-    ASSERT_TRUE(parallel.ok());
-    ASSERT_EQ(Tuples(p, *sequential, "path"), Tuples(p, *parallel, "path"))
-        << "seed " << seed;
-    ASSERT_EQ(Tuples(p, *sequential, "loopy"), Tuples(p, *parallel, "loopy"))
-        << "seed " << seed;
-  }
-}
-
 // Property: naive and semi-naive agree on random chain/tree programs.
 TEST(DatalogPropertyTest, StrategiesAgreeOnRandomGraphs) {
   for (uint64_t seed = 0; seed < 12; ++seed) {

@@ -1,9 +1,8 @@
 // Randomized differential test: locks every reasoning mode together.
 //
 // Each seed builds a random schema-closed graph and asserts that all
-// answering routes — saturation (sequential and parallel at 1/2/8
-// threads), reformulation, backward chaining, Datalog, and Datalog with
-// magic sets — agree on both storage backends. Environment knobs:
+// answering routes — saturation, reformulation, backward chaining,
+// Datalog, and Datalog with magic sets — agree on both storage backends. Environment knobs:
 //
 //   WDR_SEED            base seed (default 20250807)
 //   WDR_DIFF_INSTANCES  number of instances (default 50)
@@ -67,9 +66,8 @@ TEST(DifferentialTest, StoreModeOverridesAgreeOnRandomInstances) {
   }
 }
 
-// Contract check for the bug fixed alongside the parallel saturator:
-// SaturateInto used to silently mix a non-empty closure into the result;
-// now it must refuse.
+// Contract check: SaturateInto must refuse a non-empty closure instead of
+// silently mixing its triples into the result.
 TEST(SaturateIntoContract, RejectsNonEmptyClosure) {
   rdf::Graph g;
   schema::Vocabulary vocab = schema::Vocabulary::Intern(g.dict());
@@ -79,17 +77,14 @@ TEST(SaturateIntoContract, RejectsNonEmptyClosure) {
   reasoning::Saturator saturator(vocab, &g.dict());
   rdf::TripleStore closure;
   closure.Insert(rdf::Triple(1, 2, 3));
-  Status status =
-      saturator.SaturateInto(g.store(), closure, reasoning::SaturationOptions{});
+  Status status = saturator.SaturateInto(g.store(), closure);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   // The pre-existing triple must not have been mixed into anything.
   EXPECT_EQ(closure.size(), 1u);
 
   rdf::TripleStore fresh;
-  EXPECT_TRUE(
-      saturator.SaturateInto(g.store(), fresh, reasoning::SaturationOptions{})
-          .ok());
+  EXPECT_TRUE(saturator.SaturateInto(g.store(), fresh).ok());
   EXPECT_GT(fresh.size(), g.size());
 }
 

@@ -2,20 +2,18 @@
 // workload instance (random graph + random queries), and every reasoning
 // route the library offers must produce identical answers on it —
 //
-//   {saturation sequential, saturation parallel(1, 2, 8), reformulation,
-//    hierarchy-encoded reformulation (LiteMat range atoms over a
+//   {saturation, reformulation, hierarchy-encoded reformulation (LiteMat range atoms over a
 //    re-encoded graph snapshot), backward chaining (legacy and
 //    physical-plan), Datalog (legacy and physical-plan bodies),
 //    Datalog + magic sets}
 //     × {ordered, flat} storage backends
 //
-// plus closure-level equality between the sequential saturator, the
-// parallel saturator at every thread count, and the Datalog
-// materialization, plus a physical-plan section locking plan-based UCQ
+// plus closure-level equality between the saturator and the Datalog
+// materialization, bit-identity of UCQ evaluation with the scan cache on
+// and off, plus a physical-plan section locking plan-based UCQ
 // evaluation to the legacy join: answer sets always match, and within one
 // plan shape (hash joins on or off) the row stream is bit-identical
-// across batch sizes {1, 1024}, thread counts {1, 8}, and external vs
-// locally-built statistics. Failures always name the seed, so any
+// across batch sizes {1, 1024} and external vs locally-built statistics. Failures always name the seed, so any
 // mismatch is reproducible with WDR_SEED=<seed>.
 #ifndef WDR_TESTS_DIFFERENTIAL_UTIL_H_
 #define WDR_TESTS_DIFFERENTIAL_UTIL_H_
@@ -54,7 +52,8 @@ inline uint64_t EnvU64(const char* name, uint64_t fallback) {
 
 // Closure as a sorted triple vector: iteration order of the flat backend
 // depends on insertion history, which legitimately differs between the
-// sequential and parallel schedules, so set equality is what we compare.
+// saturator and the Datalog materialization, so set equality is what we
+// compare.
 inline std::vector<rdf::Triple> SortedTriples(const rdf::StoreView& store) {
   std::vector<rdf::Triple> triples = store.ToVector();
   std::sort(triples.begin(), triples.end());
@@ -87,9 +86,6 @@ inline query::UnionQuery RemapUnion(const query::UnionQuery& q,
 struct DifferentialConfig {
   RandomGraphConfig graph;
   int queries_per_instance = 4;
-  // Thread counts exercised for parallel saturation (1 covers the
-  // "parallel machinery, sequential schedule" corner).
-  std::vector<int> parallel_threads = {1, 2, 8};
 };
 
 // Answers a BGP/union query through the Datalog + magic-sets route: each
@@ -194,21 +190,10 @@ inline ::testing::AssertionResult RunDifferentialInstance(
     rdf::Graph graph = rg.graph;
     graph.SetBackend(backend);
 
-    // --- Closure equality: sequential vs parallel vs Datalog. ------------
+    // --- Closure equality: saturator vs Datalog. --------------------------
     reasoning::SaturatedGraph sequential(graph, rg.vocab);
     const std::vector<rdf::Triple> closure_seq =
         SortedTriples(sequential.closure());
-    for (int threads : config.parallel_threads) {
-      reasoning::SaturationOptions options;
-      options.threads = threads;
-      reasoning::SaturatedGraph parallel(graph, rg.vocab,
-                                         /*enable_owl=*/false, options);
-      if (SortedTriples(parallel.closure()) != closure_seq) {
-        return fail(std::string("parallel closure (threads=") +
-                    std::to_string(threads) + ", backend=" + backend_name +
-                    ") differs from sequential");
-      }
-    }
     Result<rdf::TripleStore> via_datalog =
         datalog::MaterializeViaDatalog(graph, rg.vocab);
     if (!via_datalog.ok()) {
@@ -309,32 +294,22 @@ inline ::testing::AssertionResult RunDifferentialInstance(
         }
       }
 
-      // Parallel UCQ evaluation must reproduce the sequential row stream
-      // BIT FOR BIT — same rows in the same order, not just the same set —
-      // at every thread count, with the scan cache on or off (replayed
-      // scans keep live-cursor order and memoized estimates keep the
-      // greedy join order, so caching never reorders answers either).
+      // UCQ evaluation with the scan cache on must reproduce the cache-off
+      // row stream BIT FOR BIT — same rows in the same order, not just the
+      // same set (replayed scans keep live-cursor order and memoized
+      // estimates keep the greedy join order, so caching never reorders
+      // answers).
       {
         query::EvaluatorOptions reference_options;
-        reference_options.threads = 1;
         reference_options.scan_cache = false;
         query::Evaluator reference_eval(graph.store(), reference_options);
         const query::ResultSet reference =
             reference_eval.Evaluate(*reformulated);
-        for (int threads : {1, 2, 8}) {
-          for (bool cache : {false, true}) {
-            query::EvaluatorOptions options;
-            options.threads = threads;
-            options.scan_cache = cache;
-            query::Evaluator parallel_eval(graph.store(), options);
-            const query::ResultSet got = parallel_eval.Evaluate(*reformulated);
-            if (got.rows != reference.rows) {
-              return fail(label + ": parallel UCQ evaluation (threads=" +
-                          std::to_string(threads) +
-                          ", cache=" + (cache ? "on" : "off") +
-                          ") is not bit-identical to sequential");
-            }
-          }
+        query::Evaluator cached_eval(graph.store());
+        if (cached_eval.Evaluate(*reformulated).rows != reference.rows) {
+          return fail(label +
+                      ": UCQ evaluation with the scan cache is not "
+                      "bit-identical to evaluation without it");
         }
       }
 
@@ -342,38 +317,34 @@ inline ::testing::AssertionResult RunDifferentialInstance(
       // every configuration, and within one plan shape (hash joins on or
       // off — the planner may legitimately emit different operator trees
       // across that toggle) the row stream is BIT-IDENTICAL across batch
-      // sizes, thread counts, and external vs locally-built statistics.
+      // sizes and external vs locally-built statistics.
       for (bool hash_joins : {false, true}) {
         std::vector<query::Row> plan_reference;
         bool have_reference = false;
         for (size_t batch_rows : {size_t{1}, size_t{1024}}) {
-          for (int threads : {1, 8}) {
-            for (bool external_stats : {false, true}) {
-              query::EvaluatorOptions options;
-              options.plan = true;
-              options.hash_joins = hash_joins;
-              options.batch_rows = batch_rows;
-              options.threads = threads;
-              options.stats = external_stats ? &plan_stats : nullptr;
-              query::Evaluator plan_eval(graph.store(), options);
-              const query::ResultSet got = plan_eval.Evaluate(*reformulated);
-              const std::string config =
-                  std::string(" (hash_joins=") + (hash_joins ? "on" : "off") +
-                  ", batch_rows=" + std::to_string(batch_rows) +
-                  ", threads=" + std::to_string(threads) +
-                  ", stats=" + (external_stats ? "external" : "local") + ")";
-              if (Rows(rg.graph, got) != expected) {
-                return fail(label + ": plan-based evaluation" + config +
-                            " differs from saturation");
-              }
-              if (!have_reference) {
-                plan_reference = got.rows;
-                have_reference = true;
-              } else if (got.rows != plan_reference) {
-                return fail(label + ": plan-based evaluation" + config +
-                            " is not bit-identical to the first plan "
-                            "configuration of this shape");
-              }
+          for (bool external_stats : {false, true}) {
+            query::EvaluatorOptions options;
+            options.plan = true;
+            options.hash_joins = hash_joins;
+            options.batch_rows = batch_rows;
+            options.stats = external_stats ? &plan_stats : nullptr;
+            query::Evaluator plan_eval(graph.store(), options);
+            const query::ResultSet got = plan_eval.Evaluate(*reformulated);
+            const std::string config =
+                std::string(" (hash_joins=") + (hash_joins ? "on" : "off") +
+                ", batch_rows=" + std::to_string(batch_rows) +
+                ", stats=" + (external_stats ? "external" : "local") + ")";
+            if (Rows(rg.graph, got) != expected) {
+              return fail(label + ": plan-based evaluation" + config +
+                          " differs from saturation");
+            }
+            if (!have_reference) {
+              plan_reference = got.rows;
+              have_reference = true;
+            } else if (got.rows != plan_reference) {
+              return fail(label + ": plan-based evaluation" + config +
+                          " is not bit-identical to the first plan "
+                          "configuration of this shape");
             }
           }
         }

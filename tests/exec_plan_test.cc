@@ -488,19 +488,14 @@ TEST(PlanModeTest, DatalogMaterializationMatchesLegacyRoutes) {
     auto want = datalog::MaterializeViaDatalog(rg.graph, rg.vocab,
                                                datalog::Strategy::kSemiNaive);
     ASSERT_TRUE(want.ok()) << want.status();
-    for (int threads : {1, 3}) {
-      for (size_t batch : {size_t{1}, size_t{1024}}) {
-        datalog::MaterializeOptions options;
-        options.threads = threads;
-        options.plan = true;
-        options.plan_options.batch_rows = batch;
-        auto got =
-            datalog::MaterializeViaDatalog(rg.graph, rg.vocab, options);
-        ASSERT_TRUE(got.ok()) << got.status();
-        EXPECT_EQ(got->ToVector(), want->ToVector())
-            << "instance " << instance << " threads " << threads << " batch "
-            << batch;
-      }
+    for (size_t batch : {size_t{1}, size_t{1024}}) {
+      datalog::MaterializeOptions options;
+      options.plan = true;
+      options.plan_options.batch_rows = batch;
+      auto got = datalog::MaterializeViaDatalog(rg.graph, rg.vocab, options);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->ToVector(), want->ToVector())
+          << "instance " << instance << " batch " << batch;
     }
     // Plan route under the naive strategy reaches the same fixpoint.
     datalog::MaterializeOptions naive;

@@ -597,75 +597,6 @@ TEST(TraceTest, ShrunkCapacityKeepsNewestAndCountsDropped) {
   SetTraceCapacity(saved_capacity);
 }
 
-// --- Cross-thread trace propagation ----------------------------------------
-
-TEST(TraceTest, ContextAdoptionParentsWorkerSpansAcrossThreads) {
-  ClearTrace();
-  SetTraceEnabled(true);
-  uint64_t outer_span_id = 0;
-  {
-    Span outer("wdr.test.ctx_outer");
-    outer_span_id = outer.span_id();
-    ASSERT_NE(outer_span_id, 0u);
-    const TraceContext context = CurrentTraceContext();
-    EXPECT_EQ(context.span_id, outer_span_id);
-    EXPECT_EQ(context.trace_id, outer.trace_id());
-    std::thread worker([&context] {
-      // Without adoption this thread has no context: its span is a root.
-      {
-        Span orphan("wdr.test.ctx_orphan");
-      }
-      TraceContextScope scope(context);
-      Span inner("wdr.test.ctx_inner");
-    });
-    worker.join();
-  }
-  SetTraceEnabled(false);
-  std::vector<TraceEvent> events = TraceEvents();
-  ASSERT_EQ(events.size(), 3u);
-  const TraceEvent* orphan = nullptr;
-  const TraceEvent* inner = nullptr;
-  const TraceEvent* outer = nullptr;
-  for (const TraceEvent& e : events) {
-    if (e.name == "wdr.test.ctx_orphan") orphan = &e;
-    if (e.name == "wdr.test.ctx_inner") inner = &e;
-    if (e.name == "wdr.test.ctx_outer") outer = &e;
-  }
-  ASSERT_NE(orphan, nullptr);
-  ASSERT_NE(inner, nullptr);
-  ASSERT_NE(outer, nullptr);
-  EXPECT_EQ(orphan->parent_id, 0u);  // pre-adoption: own root, own trace
-  EXPECT_NE(orphan->trace_id, outer->trace_id);
-  EXPECT_EQ(inner->parent_id, outer_span_id);  // adopted: same tree
-  EXPECT_EQ(inner->trace_id, outer->trace_id);
-  EXPECT_EQ(outer->parent_id, 0u);
-  EXPECT_EQ(outer->trace_id, outer->span_id);  // root starts the trace
-  ClearTrace();
-}
-
-TEST(TraceTest, ContextScopeRestoresPreviousContextOnExit) {
-  ClearTrace();
-  SetTraceEnabled(true);
-  {
-    Span outer("wdr.test.restore_outer");
-    const TraceContext outer_context = CurrentTraceContext();
-    {
-      TraceContextScope scope(TraceContext{});  // zero context: no-op
-      EXPECT_EQ(CurrentTraceContext().span_id, outer_context.span_id);
-      EXPECT_EQ(CurrentTraceContext().trace_id, outer_context.trace_id);
-    }
-    {
-      TraceContextScope scope(TraceContext{912, 913});
-      EXPECT_EQ(CurrentTraceContext().trace_id, 912u);
-      EXPECT_EQ(CurrentTraceContext().span_id, 913u);
-    }
-    // Restored: the next span parents to `outer` again.
-    EXPECT_EQ(CurrentTraceContext().span_id, outer_context.span_id);
-  }
-  SetTraceEnabled(false);
-  ClearTrace();
-}
-
 TEST(TraceTest, ExportWhileRecordingIsSafe) {
   ClearTrace();
   SetTraceEnabled(true);
@@ -675,8 +606,6 @@ TEST(TraceTest, ExportWhileRecordingIsSafe) {
     writers.emplace_back([&stop] {
       while (!stop.load(std::memory_order_relaxed)) {
         Span outer("wdr.test.stress_outer");
-        const TraceContext context = CurrentTraceContext();
-        TraceContextScope scope(context);
         Span inner("wdr.test.stress_inner");
         inner.AddAttr("k", std::string("v"));
       }
@@ -711,9 +640,9 @@ TEST(TraceTest, ExportWhileRecordingIsSafe) {
   ClearTrace();
 }
 
-TEST(TraceTest, ParallelUcqProducesSingleTraceTreeNoOrphans) {
+TEST(TraceTest, UcqProducesSingleTraceTreeNoOrphans) {
   // A 16-subclass hierarchy reformulates ?x type Animal into a 17-branch
-  // union — enough work for all 8 requested workers to open spans.
+  // union, one branch span each.
   std::string turtle =
       "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
       "@prefix ex: <http://ex.org/> .\n";
@@ -727,7 +656,6 @@ TEST(TraceTest, ParallelUcqProducesSingleTraceTreeNoOrphans) {
   options.encoding = false;  // keep the union wide (no range collapse)
   store::ReasoningStore store(options);
   ASSERT_TRUE(store.LoadTurtle(turtle).ok());
-  store.SetQueryThreads(8);
 
   ClearTrace();
   SetTraceEnabled(true);
@@ -754,9 +682,7 @@ TEST(TraceTest, ParallelUcqProducesSingleTraceTreeNoOrphans) {
   EXPECT_EQ(root.name, "wdr.store.query");
   EXPECT_EQ(root.trace_id, root.span_id);
 
-  // Every span is in the root's trace and its parent link resolves — the
-  // worker spans adopted the query context instead of becoming orphans.
-  size_t worker_spans = 0;
+  // Every span is in the root's trace and its parent link resolves.
   size_t branch_spans = 0;
   std::unordered_map<uint64_t, const TraceEvent*> by_id;
   for (const TraceEvent& e : events) by_id[e.span_id] = &e;
@@ -766,18 +692,16 @@ TEST(TraceTest, ParallelUcqProducesSingleTraceTreeNoOrphans) {
       EXPECT_TRUE(span_ids.count(e.parent_id) > 0)
           << e.name << " has a dangling parent";
     }
-    if (e.name == "wdr.query.worker") ++worker_spans;
     if (e.name == "wdr.query.branch") ++branch_spans;
   }
-  // One span per worker (the dispatching thread runs worker 0), one per
-  // union branch, every branch parented to a worker.
-  EXPECT_EQ(worker_spans, 8u);
+  // One span per union branch, all siblings under one enclosing span.
   EXPECT_EQ(branch_spans, 17u);
+  uint64_t branch_parent = 0;
   for (const TraceEvent& e : events) {
     if (e.name != "wdr.query.branch") continue;
-    auto parent = by_id.find(e.parent_id);
-    ASSERT_NE(parent, by_id.end());
-    EXPECT_EQ(parent->second->name, "wdr.query.worker");
+    ASSERT_NE(by_id.find(e.parent_id), by_id.end());
+    if (branch_parent == 0) branch_parent = e.parent_id;
+    EXPECT_EQ(e.parent_id, branch_parent);
   }
   // Walking parent links from any span terminates at the root.
   for (const TraceEvent& e : events) {

@@ -68,13 +68,13 @@ class ServerProtocolTest : public ::testing::Test {
   // The protocol assertions read saturation observables (INFO mode=,
   // per-read saturation overrides), so the store is pinned explicitly;
   // WDR_MODE=auto coverage comes from the SET mode=auto session test.
-  static store::ReasoningStoreOptions SaturationOptions() {
+  static store::ReasoningStoreOptions SaturationStoreOptions() {
     store::ReasoningStoreOptions options;
     options.mode = store::ReasoningMode::kSaturation;
     return options;
   }
 
-  SnapshotStore store_{SaturationOptions()};
+  SnapshotStore store_{SaturationStoreOptions()};
   std::unique_ptr<Server> server_;
 };
 
@@ -130,20 +130,21 @@ TEST_F(ServerProtocolTest, SessionSettingsChangeBehavior) {
         << mode << ": " << result.value().head;
   }
 
-  // Every numeric/toggle setting resets with value "default", matching
-  // the mode handler (threads also accepts 0 as an alternate spelling).
+  // Every toggle setting resets with value "default", matching the mode
+  // handler.
   for (const char* reset :
-       {"threads=4", "threads=default", "threads=0", "plan=default",
-        "encoding=default", "mode=default"}) {
+       {"plan=default", "encoding=default", "mode=default"}) {
     auto ok = client.Set(reset);
     ASSERT_TRUE(ok.ok());
     EXPECT_TRUE(ok.value().ok) << reset << ": " << ok.value().head;
   }
 
-  // Bad settings are errors, and the session survives them.
+  // Bad settings are errors, and the session survives them. `threads` is
+  // no longer a setting: queries run on the session's own thread.
   for (const char* bad :
-       {"mode=telepathy", "threads=many", "nonsense=1", "timeout_ms=-2",
-        "plan=maybe", "shards=4"}) {
+       {"mode=telepathy", "threads=many", "threads=4", "threads=default",
+        "threads=0", "nonsense=1", "timeout_ms=-2", "plan=maybe",
+        "shards=4"}) {
     auto set = client.Set(bad);
     ASSERT_TRUE(set.ok());
     EXPECT_FALSE(set.value().ok) << bad;
