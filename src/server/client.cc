@@ -23,6 +23,7 @@ int RawConnect(int port) {
     ::close(fd);
     return -1;
   }
+  SetNoDelay(fd);
   return fd;
 }
 

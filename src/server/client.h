@@ -52,8 +52,9 @@ class Client {
   std::string buffer_;
 };
 
-// Test/tool helper: opens a raw connection without consuming the
-// greeting. Returns the fd, or a negative value on failure.
+// Test/tool helper: opens a raw connection (TCP_NODELAY set, see
+// SetNoDelay) without consuming the greeting. Returns the fd, or a
+// negative value on failure.
 int RawConnect(int port);
 
 }  // namespace wdr::server

@@ -1,12 +1,13 @@
 #include "server/protocol.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 #include <cerrno>
 #include <cstring>
-
-#include "obs/http.h"
 
 namespace wdr::server {
 namespace {
@@ -36,9 +37,40 @@ bool WriteFrame(int fd, std::string_view payload) {
   prefix[1] = static_cast<char>((n >> 16) & 0xff);
   prefix[2] = static_cast<char>((n >> 8) & 0xff);
   prefix[3] = static_cast<char>(n & 0xff);
-  // Two sends keep the payload un-copied; TCP coalesces them anyway.
-  return obs::SendAll(fd, std::string_view(prefix, 4)) &&
-         obs::SendAll(fd, payload);
+  // Prefix and payload leave in one sendmsg: two sends put a 4-byte
+  // segment on the wire ahead of the payload, and the peer's delayed ACK
+  // of it stalls the payload behind Nagle for ~40 ms per frame.
+  struct iovec iov[2];
+  iov[0].iov_base = prefix;
+  iov[0].iov_len = sizeof(prefix);
+  iov[1].iov_base = const_cast<char*>(payload.data());
+  iov[1].iov_len = payload.size();
+  struct msghdr msg;
+  std::memset(&msg, 0, sizeof(msg));
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  size_t left = sizeof(prefix) + payload.size();
+  while (left > 0) {
+    const ssize_t sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (sent < 0 && errno == EINTR) continue;
+    if (sent <= 0) return false;  // peer gone or send timeout
+    // Short write: skip the bytes the kernel took, then resend the rest.
+    size_t done = static_cast<size_t>(sent);
+    left -= done;
+    while (msg.msg_iovlen > 1 && done >= msg.msg_iov->iov_len) {
+      done -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + done;
+    msg.msg_iov->iov_len -= done;
+  }
+  return true;
+}
+
+void SetNoDelay(int fd) {
+  const int on = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
 }
 
 FrameReadResult ReadFrame(int fd, size_t max_bytes, std::string* payload) {

@@ -32,9 +32,16 @@ inline constexpr int kProtocolVersion = 1;
 // Default per-frame cap (requests and responses): 1 MiB.
 inline constexpr size_t kDefaultMaxFrameBytes = size_t{1} << 20;
 
-// Writes one frame (length prefix + payload). Returns false when the peer
-// is gone or the send timed out; the connection is unusable then.
+// Writes one frame (length prefix + payload) as one send. Returns false
+// when the peer is gone or the send timed out; the connection is unusable
+// then.
 bool WriteFrame(int fd, std::string_view payload);
+
+// Sets TCP_NODELAY on a frame socket. Both ends call it: a frame is one
+// send and the peer answers it at once, so Nagle's hold for an ACK (which
+// the peer delays ~40 ms) only ever stalls the tail segment of a response
+// larger than one segment.
+void SetNoDelay(int fd);
 
 // Outcomes of reading one frame.
 enum class FrameReadResult {

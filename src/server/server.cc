@@ -200,6 +200,7 @@ void Server::AcceptLoop() {
       continue;  // transient accept failure
     }
     SetSocketTimeouts(fd, options_.recv_timeout_ms, options_.send_timeout_ms);
+    SetNoDelay(fd);
 
     // Admission control: greet-and-close when the session table is full.
     // The reject is a well-formed ERR frame, so clients see a reason

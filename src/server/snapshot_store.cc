@@ -37,14 +37,20 @@ auto SnapshotStore::Write(Fn&& apply)
   const uint64_t next_epoch = epoch_.load(std::memory_order_relaxed) + 1;
 
   // Step 1: bring the spare side (no readers: they are all on the
-  // published side) to the new epoch, caches warm.
+  // published side) to the new epoch, caches warm. A failed batch stops
+  // here: Update and LoadTurtle parse in full before they mutate, so the
+  // spare side still holds the published epoch's contents (plus any terms
+  // the failed parse interned; ids are side-local, never compared across
+  // sides) and nothing is published or replayed.
   auto result = [&] {
     std::unique_lock<std::shared_mutex> gate(spare.gate);
     auto r = apply(spare.store);
+    if (!r.ok()) return r;
     spare.store.Warm();
     spare.epoch = next_epoch;
     return r;
   }();
+  if (!result.ok()) return result;
 
   // Step 2: publish. Readers arriving from here on land on the fresh
   // side; release ordering pairs with the readers' acquire loads.
@@ -91,7 +97,9 @@ Result<SnapshotStore::ReadResult> SnapshotStore::Query(
   out.epoch = side.epoch;
 
   store::ReadOptions ropts = options;
-  ropts.frozen = true;  // the writer's Warm() is the only cache rebuilder
+  // Frozen: the writer's Warm() alone refreshes the encoding; statistics
+  // a read needs beyond Warm()'s fill in on first use under prepare_mu.
+  ropts.frozen = true;
 
   // Resolve a prepared plan: session cache hit, or a frozen Prepare under
   // the side's dictionary lock. Cache entries are (side, epoch)-scoped;

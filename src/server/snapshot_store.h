@@ -24,8 +24,10 @@ namespace wdr::server {
 // applies every batch twice:
 //
 //   1. unique-lock the SPARE side's gate (no readers there — they are all
-//      on the published side), apply the batch, Warm() every lazy cache,
-//      stamp the side with the new epoch;
+//      on the published side), apply the batch, Warm() the default read
+//      path's lazy caches, stamp the side with the new epoch. A batch that
+//      fails (a parse error) mutated nothing: the writer returns the error
+//      here, with no publish, no new epoch and no catch-up;
 //   2. publish: epoch_++ and published_ = spare (new readers now land on
 //      the fresh side);
 //   3. unique-lock the OLD side's gate — this WAITS for the readers still
@@ -44,8 +46,14 @@ namespace wdr::server {
 // contract: Prepare (and row decoding) touches the shared dictionary and
 // lazy caches, so it is serialized per side under `prepare_mu`; Execute
 // is const and id-pure, so any number run concurrently under the shared
-// gate. Prepares are frozen (ReadOptions::frozen) — the writer's Warm()
-// is the only cache (re)builder.
+// gate. Prepares are frozen (ReadOptions::frozen): only the writer's
+// Warm() rebuilds the encoding. Planner statistics that Warm() skipped
+// (a plan=1 or mode=auto session on a legacy-join store) are built by the
+// first Prepare that needs them, under `prepare_mu`. That is race-free:
+// the statistics caches are touched only by Prepares (under
+// `prepare_mu`) and by the writer (under the unique gate), and an Execute
+// reads them only through the pointer a Prepare of the same epoch handed
+// out, which no later Prepare of that epoch moves.
 class SnapshotStore {
  public:
   explicit SnapshotStore(store::ReasoningStoreOptions options = {});
@@ -142,7 +150,8 @@ class SnapshotStore {
   };
 
   // Applies `apply` to both sides in the left-right order; returns the
-  // spare-side application's result (both must agree).
+  // spare-side application's result (both must agree). An error from the
+  // spare side is returned at once, before anything is published.
   template <typename Fn>
   auto Write(Fn&& apply)
       -> decltype(apply(std::declval<store::ReasoningStore&>()));

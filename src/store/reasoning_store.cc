@@ -273,16 +273,19 @@ const exec::Statistics& ReasoningStore::CachedStats(bool over_closure) {
   // One flavor per queried store, so a saturation-routed query plans over
   // closure statistics while a reformulation-routed one (same store, auto
   // mode or a per-read override) plans over base-graph statistics.
-  if (over_closure && saturated_.has_value()) {
-    if (!closure_stats_cache_.has_value()) {
-      closure_stats_cache_ = exec::Statistics::Build(saturated_->closure());
-    }
-    return *closure_stats_cache_;
+  const bool closure = over_closure && saturated_.has_value();
+  std::optional<exec::Statistics>& cache =
+      closure ? closure_stats_cache_ : stats_cache_;
+  if (!cache.has_value()) {
+    Timer timer;
+    cache = closure ? exec::Statistics::Build(saturated_->closure())
+                    : exec::Statistics::Build(graph_.store());
+    WDR_COUNTER_INC("wdr.store.statistics.builds");
+    obs::MetricsRegistry::Get()
+        .GetHistogram("wdr.store.statistics.build_seconds")
+        .RecordSeconds(timer.ElapsedSeconds());
   }
-  if (!stats_cache_.has_value()) {
-    stats_cache_ = exec::Statistics::Build(graph_.store());
-  }
-  return *stats_cache_;
+  return *cache;
 }
 
 const datalog::RdfDatalogTranslation& ReasoningStore::CachedDatalog() {
@@ -498,8 +501,14 @@ Result<query::ResultSet> ReasoningStore::Execute(const PreparedQuery& prepared,
 void ReasoningStore::Warm() {
   if (options_.encoding) CachedEncoding();
   CachedSchema();
-  CachedStats(/*over_closure=*/false);
-  if (saturated_.has_value()) CachedStats(/*over_closure=*/true);
+  // Statistics only for the default read path: kAuto's est_rows probe
+  // reads the base flavour, the planner the queried store's. A read that
+  // needs another flavour builds it in CachedStats on first use.
+  const bool auto_mode = options_.mode == ReasoningMode::kAuto;
+  const bool over_closure =
+      auto_mode || options_.mode == ReasoningMode::kSaturation;
+  if (auto_mode) CachedStats(/*over_closure=*/false);
+  if (options_.query.plan) CachedStats(over_closure);
   CachedReformulator();
   // The plain flavor only differs when the encoding is on (it IS the
   // plain one otherwise).

@@ -119,7 +119,9 @@ struct ReadOptions {
   // permutes the dictionary id space under every concurrent reader's
   // feet). If the encoding is stale, reformulation falls back to the
   // classic rewriting for this query. The server prepares frozen; its
-  // writer refreshes the encoding via Warm() before publishing.
+  // writer refreshes the encoding via Warm() before publishing. Caches
+  // that permute no ids (planner statistics, the Datalog translation)
+  // still fill on first use, under the caller's Prepare serialization.
   bool frozen = false;
 };
 
@@ -232,10 +234,14 @@ class ReasoningStore {
   Result<query::ResultSet> Execute(const PreparedQuery& prepared,
                                    QueryInfo* info = nullptr) const;
 
-  // Fills every lazy cache the read path can touch — hierarchy encoding
-  // (when enabled), schema view, planner statistics, both reformulator
-  // flavors — so subsequent frozen Prepares rebuild nothing. The server's
-  // writer calls this before publishing a store to readers.
+  // Fills the lazy caches the store's default read path touches —
+  // hierarchy encoding (when enabled), schema view, both reformulator
+  // flavors, and planner statistics only where that path reads them (the
+  // queried store's flavour when plan mode is on, the base flavour in
+  // kAuto) — so a default frozen Prepare rebuilds nothing. A read that
+  // overrides plan or mode builds the statistics it needs on first use;
+  // legacy-join reads never pay for them. The server's writer calls this
+  // before publishing a store to readers.
   void Warm();
 
   // Decodes a result row to N-Triples term strings.
@@ -348,7 +354,10 @@ class ReasoningStore {
 
   // Statistics over the queried store: the maintained closure when
   // `over_closure` (the saturation route; requires saturated_), the base
-  // graph otherwise. Cached per flavor, invalidated on every update.
+  // graph otherwise. Cached per flavor, invalidated on every update; each
+  // build counts in wdr.store.statistics.builds. Building one flavor never
+  // moves the other, so a pointer a Prepare handed out stays valid until
+  // the next update.
   const exec::Statistics& CachedStats(bool over_closure);
 
   // The encoding for the current schema version (building or rebuilding it

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -416,6 +418,103 @@ TEST_F(ServerProtocolTest, UpdatesVisibleToOtherSessionsWithNewEpoch) {
   EXPECT_NE(result.value().head.find("rows=2"), std::string::npos)
       << result.value().head;
   EXPECT_NE(result.value().head.find("epoch=2"), std::string::npos);
+}
+
+// A failed write changes nothing, so it must publish nothing: the epoch
+// stays put and the session's cached plan for that epoch stays valid.
+TEST_F(ServerProtocolTest, FailedUpdatePublishesNoEpoch) {
+  StartServer();
+  Client client;
+  ASSERT_TRUE(client.Connect(server_->port()).ok());
+  const std::string query = std::string(kPrefixes) +
+                            "SELECT ?x WHERE { ?x rdf:type ex:Animal }";
+  auto first = client.Query(query);
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(first.value().ok) << first.value().head;
+
+  auto update = client.Update(std::string(kPrefixes) +
+                              "INSERT DATA { ex:felix a ex:Cat ");
+  ASSERT_TRUE(update.ok());
+  EXPECT_FALSE(update.value().ok);
+
+  auto ping = client.Call("PING\n");
+  ASSERT_TRUE(ping.ok());
+  EXPECT_NE(ping.value().head.find("epoch=1"), std::string::npos)
+      << ping.value().head;
+
+  auto again = client.Query(query);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again.value().ok) << again.value().head;
+  EXPECT_NE(again.value().head.find("rows=1"), std::string::npos)
+      << again.value().head;
+  auto info = client.Call("INFO\n");
+  ASSERT_TRUE(info.ok());
+  EXPECT_NE(info.value().head.find("plan_hits=1"), std::string::npos)
+      << info.value().head;
+  EXPECT_NE(info.value().head.find("plan_misses=1"), std::string::npos)
+      << info.value().head;
+
+  // The sides still agree: good writes after the failed one land on both,
+  // and each side in turn serves the right answers.
+  int epoch = 1;
+  for (const char* cat : {"felix", "garfield"}) {
+    update = client.Update(std::string(kPrefixes) + "INSERT DATA { ex:" +
+                           cat + " a ex:Cat }");
+    ASSERT_TRUE(update.ok());
+    EXPECT_TRUE(update.value().ok) << update.value().head;
+    ++epoch;
+    auto after = client.Query(query);
+    ASSERT_TRUE(after.ok());
+    EXPECT_NE(after.value().head.find("rows=" + std::to_string(epoch) +
+                                      " epoch=" + std::to_string(epoch)),
+              std::string::npos)
+        << after.value().head;
+  }
+}
+
+// Each frame is one send and both ends set TCP_NODELAY, so a request's
+// round trip is not held by a delayed ACK (~40 ms each). Two sends per
+// frame without TCP_NODELAY make these 220 round trips take >= 17 s.
+TEST_F(ServerProtocolTest, RoundTripsDoNotWaitOnDelayedAcks) {
+  StartServer();
+  std::string bulk = "@prefix ex: <http://ex.org/> .\n";
+  for (int i = 0; i < 3000; ++i) {
+    bulk += "ex:s" + std::to_string(i) + " ex:edge ex:o" + std::to_string(i) +
+            " .\n";
+  }
+  ASSERT_TRUE(store_.LoadTurtle(bulk).ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect(server_->port()).ok());
+  const std::string query =
+      std::string(kPrefixes) + "SELECT ?x ?y WHERE { ?x ex:edge ?y }";
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 200; ++i) {
+    auto ping = client.Call("PING\n");
+    ASSERT_TRUE(ping.ok());
+    ASSERT_TRUE(ping.value().ok);
+  }
+  for (int i = 0; i < 20; ++i) {
+    auto result = client.Query(query);
+    ASSERT_TRUE(result.ok());
+    ASSERT_TRUE(result.value().ok) << result.value().head;
+    ASSERT_GT(result.value().body.size(), size_t{64} << 10);
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 2.0);
+}
+
+TEST_F(ServerProtocolTest, RawConnectSetsNoDelay) {
+  StartServer();
+  const int fd = RawConnect(server_->port());
+  ASSERT_GE(fd, 0);
+  int on = 0;
+  socklen_t len = sizeof(on);
+  ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+  EXPECT_EQ(on, 1);
+  ::close(fd);
 }
 
 TEST_F(ServerProtocolTest, StopWithLiveSessionsJoinsEverything) {

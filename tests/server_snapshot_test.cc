@@ -202,6 +202,7 @@ void RunSnapshotInstance(uint64_t seed, rdf::StorageBackend backend,
   store::ReasoningStoreOptions options;
   options.mode = store::ReasoningMode::kSaturation;
   options.backend = backend;
+  options.query.plan = false;
   const std::vector<std::vector<AnswerSet>> expected =
       ReferenceAnswers(instance, options);
   const std::vector<std::string> queries = ProbeQueries();
@@ -226,17 +227,25 @@ void RunSnapshotInstance(uint64_t seed, rdf::StorageBackend backend,
             static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(queries.size()) - 1));
         store::ReadOptions ropts;
         // Exercise per-session mode overrides: all reasoning modes must
-        // agree on the answers of any one epoch.
-        switch (rng.Uniform(0, 3)) {
+        // agree on the answers of any one epoch. Auto-routed reads probe
+        // base statistics and plan-mode reads plan over the queried
+        // store's; the writer's Warm() builds neither for this legacy-join
+        // store, so these reads build them under prepare_mu while writes
+        // land.
+        switch (rng.Uniform(0, 4)) {
           case 1:
             ropts.mode = store::ReasoningMode::kReformulation;
             break;
           case 2:
             ropts.mode = store::ReasoningMode::kBackward;
             break;
+          case 3:
+            ropts.mode = store::ReasoningMode::kAuto;
+            break;
           default:
             break;  // store default (saturation)
         }
+        if (rng.Uniform(0, 1) == 1) ropts.plan = true;
         auto result = store.Query(queries[qi], ropts, &cache);
         if (!result.ok()) {
           error << "query failed: " << result.status().ToString();

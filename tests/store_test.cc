@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "io/ntriples.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace wdr::store {
@@ -298,6 +299,46 @@ TEST(ReasoningStoreTest, SchemaUpdateRebuildsEncoding) {
                   .ok());
   EXPECT_EQ(Answers(store, kMammalQuery), 3u);
   EXPECT_EQ(store.encoding()->version(), version_after);
+}
+
+// Warm() builds planner statistics only where the store's default read
+// path reads them; a read that overrides plan mode builds its flavour on
+// first use, once per update.
+TEST(ReasoningStoreTest, WarmBuildsStatisticsOnlyForTheDefaultReadPath) {
+  const obs::Counter& builds =
+      obs::MetricsRegistry::Get().GetCounter("wdr.store.statistics.builds");
+  constexpr const char* kInsert =
+      "PREFIX ex: <http://ex.org/>\nINSERT DATA { ex:milo a ex:Cat }";
+  ReadOptions plan;
+  plan.plan = true;
+  plan.frozen = true;
+
+  ReasoningStoreOptions options;
+  options.mode = ReasoningMode::kSaturation;
+  options.query.plan = false;
+  options.encoding = false;
+  ReasoningStore legacy(options);
+  ASSERT_TRUE(legacy.LoadTurtle(kData).ok());
+  legacy.Warm();
+  uint64_t before = builds.value();
+  ASSERT_TRUE(legacy.Update(kInsert).ok());
+  legacy.Warm();
+  EXPECT_EQ(builds.value(), before);  // legacy joins read no statistics
+  ASSERT_TRUE(legacy.Prepare(kMammalQuery, plan).ok());
+  EXPECT_EQ(builds.value(), before + 1);
+  ASSERT_TRUE(legacy.Prepare(kMammalQuery, plan).ok());
+  EXPECT_EQ(builds.value(), before + 1);
+
+  // A plan-mode store warms the closure flavour its reads plan over.
+  options.query.plan = true;
+  ReasoningStore planned(options);
+  ASSERT_TRUE(planned.LoadTurtle(kData).ok());
+  before = builds.value();
+  ASSERT_TRUE(planned.Update(kInsert).ok());
+  planned.Warm();
+  EXPECT_EQ(builds.value(), before + 1);
+  ASSERT_TRUE(planned.Prepare(kMammalQuery, plan).ok());
+  EXPECT_EQ(builds.value(), before + 1);
 }
 
 TEST(ReasoningStoreTest, EncodingWorksAcrossBackendsAndModes) {
