@@ -688,6 +688,9 @@ Result<query::ResultSet> ReasoningStore::ExecuteInternal(
     query::EvalStats* collect) const {
   query::EvaluatorOptions eval_options = prepared.eval;
   eval_options.collect = collect;
+  // The dictionary only renders operator labels, and concurrent Prepares
+  // intern into it: an Execute without a profile must not read it.
+  if (profile == nullptr) eval_options.dict = nullptr;
   if (info != nullptr) {
     info->union_size = prepared.union_size;
     info->reformulation = prepared.reformulation;
