@@ -2,16 +2,19 @@
 // evaluation [of reformulated queries] remains challenging" (§II-B):
 //   - greedy bound-first join ordering vs. the query's written atom order
 //     (reformulated unions multiply whatever the per-CQ join costs);
-//   - sequential vs. branch-parallel union evaluation, with the
-//     cross-branch scan-signature cache on/off, on a real reformulated
-//     workload (Q6's 36-CQ union).
+//   - union evaluation with the cross-branch scan-signature cache on/off,
+//     on a real reformulated workload (Q6's 36-CQ union);
+//   - the per-answer cost of a many-answer DISTINCT (Q8 over the saturated
+//     closure), where recording answers outweighs the join itself.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 
 #include "bench_util.h"
 
+#include "exec/statistics.h"
 #include "query/evaluator.h"
 #include "query/query.h"
 #include "reasoning/saturation.h"
@@ -118,8 +121,60 @@ void BM_WrittenJoinOrderQ10(benchmark::State& state) {
 BENCHMARK(BM_GreedyJoinOrderQ10)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_WrittenJoinOrderQ10)->Unit(benchmark::kMicrosecond);
 
-// Reformulated-union evaluation: sequential vs. parallel branches, scan
-// cache on/off. Q6 (Faculty ⋈ teacherOf ⋈ Course) reformulates into a
+// Many-answer DISTINCT: the Q8 shape (?x type ?c) over the saturated
+// closure of the Fig. 3 workload's 64 universities (~88k answers),
+// evaluated as the saturation route runs it: a one-branch union,
+// deduplicated. Nearly every enumerated triple is an answer, so the time
+// is the per-answer bookkeeping: the dedup-table insert and the row copy.
+// Arg 0 picks the legacy join (0) or the compiled plan (1); `ns_per_row`
+// is the wall time per answer.
+struct ManyAnswerFixture {
+  wdr::workload::UniversityData data;
+  wdr::rdf::TripleStore closure;
+  wdr::exec::Statistics stats;
+  wdr::query::UnionQuery q8;
+
+  ManyAnswerFixture() {
+    wdr::workload::UniversityConfig config;
+    config.universities = 64;
+    data = wdr::workload::GenerateUniversityData(config);
+    closure = wdr::reasoning::Saturator::SaturateGraph(data.graph, data.vocab);
+    stats = wdr::exec::Statistics::Build(closure);
+    auto queries = wdr::workload::StandardQuerySet(data.graph.dict());
+    BgpQuery q = queries[7].query;
+    q.SetDistinct(true);
+    q8 = wdr::query::UnionQuery::Single(std::move(q));
+  }
+};
+
+void BM_ManyAnswerDistinctQ8(benchmark::State& state) {
+  static ManyAnswerFixture* f = new ManyAnswerFixture();
+  wdr::query::Evaluator::Options options;
+  options.plan = state.range(0) != 0;
+  options.stats = &f->stats;
+  wdr::query::Evaluator evaluator(f->closure, options);
+  const wdr::query::UnionQuery& q = f->q8;
+  size_t answers = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    answers = evaluator.Evaluate(q).rows.size();
+    benchmark::DoNotOptimize(answers);
+  }
+  const double ns = std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  state.counters["answers"] = static_cast<double>(answers);
+  state.counters["ns_per_row"] =
+      ns / static_cast<double>(std::max<size_t>(answers, 1)) /
+      static_cast<double>(std::max<int64_t>(state.iterations(), 1));
+}
+BENCHMARK(BM_ManyAnswerDistinctQ8)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->ArgName("plan");
+
+// Reformulated-union evaluation, scan cache on/off. Q6 (Faculty ⋈ teacherOf ⋈ Course) reformulates into a
 // 36-CQ grid whose branches share leading scans and re-issue the same
 // bound probes — the workload the scan-signature cache targets. Evaluated
 // over the BASE graph (that is the reformulation technique: q_ref on G).

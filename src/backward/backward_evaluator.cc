@@ -1,12 +1,12 @@
 #include "backward/backward_evaluator.h"
 
 #include <deque>
-#include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "exec/dedup_table.h"
 #include "exec/executor.h"
 #include "exec/planner.h"
 #include "exec/source.h"
@@ -281,7 +281,7 @@ exec::AtomAlt ToAtomAlt(const Alternative& alt) {
 bool PlanJoin(const StoreView& store, const BgpQuery& q,
               const std::vector<std::vector<Alternative>>& expansions,
               const BackwardOptions& options, BackwardStats* stats,
-              ResultSet& result, std::set<Row>& seen) {
+              ResultSet& result, exec::DedupTable& seen) {
   exec::ConjunctiveSpec spec;
   spec.conjuncts.reserve(expansions.size());
   for (size_t i = 0; i < expansions.size(); ++i) {
@@ -328,8 +328,7 @@ bool PlanJoin(const StoreView& store, const BgpQuery& q,
   obs::ProfileNode profile("backward_plan");
   exec::Run(*plan.root, sources, eopts,
             [&](const exec::Value* row, size_t width) {
-              Row out(row, row + width);
-              if (seen.insert(out).second) result.rows.push_back(std::move(out));
+              if (seen.Insert(row)) result.rows.emplace_back(row, row + width);
               return true;
             },
             &profile);
@@ -354,17 +353,17 @@ ResultSet BackwardChainingEvaluator::Evaluate(const BgpQuery& q,
 
   ResultSet result;
   result.var_names = q.ProjectionNames();
-  std::set<Row> seen;
+  exec::DedupTable seen(q.projection().size());
   if (options_.plan &&
       PlanJoin(*store_, q, expansions, options_, stats, result, seen)) {
     return result;
   }
   BackwardJoin join(*store_, q, std::move(expansions), stats);
+  Row row;
   join.Run([&](const std::vector<TermId>& bindings) {
-    Row row;
-    row.reserve(q.projection().size());
+    row.clear();
     for (VarId v : q.projection()) row.push_back(bindings[v]);
-    if (seen.insert(row).second) result.rows.push_back(std::move(row));
+    if (seen.Insert(row.data())) result.rows.push_back(row);
   });
   return result;
 }
@@ -372,12 +371,12 @@ ResultSet BackwardChainingEvaluator::Evaluate(const BgpQuery& q,
 ResultSet BackwardChainingEvaluator::Evaluate(const UnionQuery& q,
                                               BackwardStats* stats) const {
   ResultSet result;
-  std::set<Row> seen;
+  exec::DedupTable seen(q.width());
   for (const BgpQuery& branch : q.branches()) {
     ResultSet branch_result = Evaluate(branch, stats);
     if (result.var_names.empty()) result.var_names = branch_result.var_names;
     for (Row& row : branch_result.rows) {
-      if (seen.insert(row).second) result.rows.push_back(std::move(row));
+      if (seen.Insert(row.data())) result.rows.push_back(std::move(row));
     }
   }
   query::ApplySolutionModifiers(q, result);

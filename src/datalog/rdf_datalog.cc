@@ -1,9 +1,9 @@
 #include "datalog/rdf_datalog.h"
 
-#include <set>
 #include <string>
 
 #include "datalog/magic.h"
+#include "exec/dedup_table.h"
 
 namespace wdr::datalog {
 namespace {
@@ -133,7 +133,8 @@ Result<query::ResultSet> AnswerViaDatalog(const RdfDatalogTranslation& xlat,
                                           const query::UnionQuery& q,
                                           const BodyPlanOptions* plan) {
   query::ResultSet result;
-  std::set<query::Row> seen;
+  exec::DedupTable seen(q.width());
+  query::Row row;
   for (const BgpQuery& branch : q.branches()) {
     if (result.var_names.empty()) {
       result.var_names = branch.ProjectionNames();
@@ -189,12 +190,12 @@ Result<query::ResultSet> AnswerViaDatalog(const RdfDatalogTranslation& xlat,
         std::vector<Tuple> rows,
         EvaluateQuery(xlat.program, db, body, effective, plan));
     for (const Tuple& tuple : rows) {
-      query::Row row(projection.size(), rdf::kNullTermId);
+      row.assign(projection.size(), rdf::kNullTermId);
       for (size_t i = 0; i < effective_cols.size(); ++i) {
         row[effective_cols[i]] = xlat.term_of_sym[tuple[i]];
       }
       for (const auto& [col, value] : fixed) row[col] = value;
-      if (seen.insert(row).second) result.rows.push_back(std::move(row));
+      if (seen.Insert(row.data())) result.rows.push_back(row);
     }
   }
   query::ApplySolutionModifiers(q, result);
@@ -205,7 +206,8 @@ Result<query::ResultSet> AnswerViaMagicUnion(const RdfDatalogTranslation& xlat,
                                              const query::UnionQuery& q,
                                              EvalStats* stats) {
   query::ResultSet result;
-  std::set<query::Row> seen;
+  exec::DedupTable seen(q.width());
+  query::Row row;
   for (const BgpQuery& branch : q.branches()) {
     if (result.var_names.empty()) {
       result.var_names = branch.ProjectionNames();
@@ -293,12 +295,12 @@ Result<query::ResultSet> AnswerViaMagicUnion(const RdfDatalogTranslation& xlat,
       stats->rule_evaluations += branch_stats.rule_evaluations;
     }
     for (const Tuple& tuple : tuples) {
-      query::Row row(projection.size(), rdf::kNullTermId);
+      row.assign(projection.size(), rdf::kNullTermId);
       for (size_t i = 0; i < effective_cols.size(); ++i) {
         row[effective_cols[i]] = xlat.term_of_sym[tuple[i]];
       }
       for (const auto& [col, value] : fixed) row[col] = value;
-      if (seen.insert(row).second) result.rows.push_back(std::move(row));
+      if (seen.Insert(row.data())) result.rows.push_back(row);
     }
   }
   query::ApplySolutionModifiers(q, result);

@@ -3,8 +3,8 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
+#include "exec/dedup_table.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -369,47 +369,15 @@ class Executor {
   bool RunDedup(const PlanNode& node, obs::ProfileNode* stats,
                 const BatchSink& sink) {
     const size_t width = node.width;
-    // Seen-set as row store + hash buckets (full-row verification: a
-    // hash-only set would drop distinct rows on collision).
-    std::vector<Value> seen_rows;
-    std::unordered_map<uint64_t, std::vector<uint32_t>> seen;
-    if (node.est_rows >= 0) {
-      const size_t hint = static_cast<size_t>(node.est_rows) + 1;
-      seen_rows.reserve(hint * width);
-      seen.reserve(hint);
-    }
+    DedupTable seen(width);
+    std::vector<Value> row(width);
     Batch out(width, batch_rows_);
     bool keep = RunNode(*node.children[0], stats, [&](Batch& in) {
       for (size_t r = 0; r < in.rows(); ++r) {
-        uint64_t h = 0xcbf29ce484222325ull;
-        for (size_t col = 0; col < width; ++col) h = Mix(h, in.at(col, r));
-        std::vector<uint32_t>& bucket = seen[h];
-        bool duplicate = false;
-        for (uint32_t idx : bucket) {
-          const Value* row = seen_rows.data() + size_t{idx} * width;
-          bool same = true;
-          for (size_t col = 0; col < width; ++col) {
-            if (row[col] != in.at(col, r)) {
-              same = false;
-              break;
-            }
-          }
-          if (same) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (duplicate) continue;
-        const uint32_t idx = static_cast<uint32_t>(
-            width == 0 ? bucket.size() : seen_rows.size() / width);
-        for (size_t col = 0; col < width; ++col) {
-          seen_rows.push_back(in.at(col, r));
-        }
-        bucket.push_back(idx);
+        for (size_t col = 0; col < width; ++col) row[col] = in.at(col, r);
+        if (!seen.Insert(row.data())) continue;
         const size_t o = out.rows();
-        for (size_t col = 0; col < width; ++col) {
-          out.at(col, o) = in.at(col, r);
-        }
+        for (size_t col = 0; col < width; ++col) out.at(col, o) = row[col];
         out.set_rows(o + 1);
         if (out.full()) {
           if (!Flush(out, stats, sink)) return false;

@@ -64,6 +64,7 @@ std::string QueryLogRecord::ToJsonLine() const {
          ",\"rows\":" + std::to_string(rows) +
          ",\"scan_cache_hits\":" + std::to_string(scan_cache_hits) +
          ",\"scan_cache_misses\":" + std::to_string(scan_cache_misses) +
+         ",\"dup_rows\":" + std::to_string(dup_rows) +
          ",\"wall_nanos\":" + std::to_string(wall_nanos) + ",\"slow\":";
   out += slow ? "true" : "false";
   out += ",\"ok\":";

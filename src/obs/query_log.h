@@ -60,6 +60,9 @@ struct QueryLogRecord {
   // Cross-branch scan-cache effectiveness for this query's union.
   uint64_t scan_cache_hits = 0;
   uint64_t scan_cache_misses = 0;
+  // Rows produced but dropped as already answered (branch overlap and
+  // DISTINCT); with `rows`, the share of the join's work that was wasted.
+  uint64_t dup_rows = 0;
 
   uint64_t wall_nanos = 0;  // end-to-end, parse included
   // Stamped by Append: wall_nanos >= the slow-query threshold.

@@ -9,8 +9,8 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "exec/dedup_table.h"
 #include "exec/executor.h"
 #include "exec/planner.h"
 #include "exec/source.h"
@@ -743,9 +743,8 @@ const exec::Statistics* UsableStats(const Store& store,
   return local->empty() ? nullptr : &*local;
 }
 
-// Caps dedup-set / row-buffer pre-reservation from a cardinality
-// estimate: estimates are approximations, and an estimate gone wild must
-// not reserve gigabytes.
+// Caps row-buffer pre-reservation from a cardinality estimate: estimates
+// are approximations, and an estimate gone wild must not reserve gigabytes.
 constexpr size_t kMaxReserveRows = size_t{1} << 20;
 
 size_t ReserveHint(double est_rows) {
@@ -774,6 +773,16 @@ void ExecutePlannedBranch(const Store& store, const exec::CompiledPlan& plan,
       profile);
 }
 
+// Publishes the rows one evaluation dropped as duplicates: one counter add
+// per evaluation, never one per row.
+void RecordDuplicates(const exec::DedupTable& seen,
+                      const EvaluatorOptions& options) {
+  WDR_COUNTER_ADD("wdr.query.duplicate_rows", seen.duplicates());
+  if (options.collect != nullptr) {
+    options.collect->duplicate_rows += seen.duplicates();
+  }
+}
+
 Row ProjectRow(const BgpQuery& q, const std::vector<TermId>& bindings) {
   Row row;
   row.reserve(q.projection().size());
@@ -784,8 +793,8 @@ Row ProjectRow(const BgpQuery& q, const std::vector<TermId>& bindings) {
 // Projects into a caller-owned scratch row. Deduplicating emission paths
 // reuse one scratch across all emissions: on reformulated unions the vast
 // majority of emissions are duplicates of an already-seen row, and probing
-// the seen-set with the scratch makes the duplicate case allocation-free
-// (the row is only copied into the set when it is genuinely new).
+// the dedup table with the scratch makes the duplicate case allocation-free
+// (the row is only copied out when it is genuinely new).
 void ProjectRowInto(const BgpQuery& q, const std::vector<TermId>& bindings,
                     Row& row) {
   row.clear();
@@ -813,15 +822,15 @@ ResultSet EvaluateBgp(const Store& store, const BgpQuery& q,
       result.rows.reserve(ReserveHint(plan.est_rows));
       Row scratch;
       if (q.distinct()) {
-        std::unordered_set<Row, RowHash> seen;
-        seen.reserve(ReserveHint(plan.est_rows));
+        exec::DedupTable seen(q.projection().size());
         ExecutePlannedBranch(store, plan, options, /*cache=*/nullptr,
                              /*eager=*/true, profile, scratch, [&](Row& row) {
-                               if (seen.insert(row).second) {
+                               if (seen.Insert(row.data())) {
                                  result.rows.push_back(row);
                                }
                                return !probe.Expired();
                              });
+        RecordDuplicates(seen, options);
       } else {
         ExecutePlannedBranch(store, plan, options, /*cache=*/nullptr,
                              /*eager=*/true, profile, scratch, [&](Row& row) {
@@ -845,12 +854,13 @@ ResultSet EvaluateBgp(const Store& store, const BgpQuery& q,
     join.set_stats(&stats);
   }
   if (q.distinct()) {
-    std::unordered_set<Row, RowHash> seen;
+    exec::DedupTable seen(q.projection().size());
     Row scratch;
     join.Run([&](const std::vector<TermId>& bindings) {
       ProjectRowInto(q, bindings, scratch);
-      if (seen.insert(scratch).second) result.rows.push_back(scratch);
+      if (seen.Insert(scratch.data())) result.rows.push_back(scratch);
     });
+    RecordDuplicates(seen, options);
   } else {
     join.Run([&](const std::vector<TermId>& bindings) {
       result.rows.push_back(ProjectRow(q, bindings));
@@ -878,8 +888,9 @@ size_t MaxRowsNeeded(const UnionQuery& q) {
 // hides the signal. Branches past the cap fold into one aggregate node.
 constexpr size_t kMaxProfiledBranches = 8;
 
-// Union evaluation: branches in order, one global hash-set dedup, early
-// break once the row budget is met.
+// Union evaluation: branches in order, one dedup table across all of them,
+// early break once the row budget is met. Every branch projects the same
+// number of variables (UnionQuery's invariant), so one width keys them all.
 template <typename Store>
 ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
                                   const EvaluatorOptions& options,
@@ -889,7 +900,7 @@ ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
                                   const rdf::Dictionary* dict) {
   ResultSet result;
   const size_t max_rows = MaxRowsNeeded(q);
-  std::unordered_set<Row, RowHash> seen;
+  exec::DedupTable seen(q.width());
   CancelProbe probe(options);
   obs::ProfileNode* overflow = nullptr;
   size_t overflow_branches = 0;
@@ -919,7 +930,7 @@ ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
     const uint64_t branch_start = NowNanos();
     Row scratch;
     auto emit = [&](Row& row) {
-      if (seen.insert(row).second) result.rows.push_back(row);
+      if (seen.Insert(row.data())) result.rows.push_back(row);
       return result.rows.size() < max_rows && !probe.Expired();
     };
     if (options.plan) {
@@ -930,16 +941,11 @@ ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
         collect.est_rows =
             (collect.est_rows < 0 ? 0 : collect.est_rows) + plan.est_rows;
       }
+      // Pre-reserve the result buffer from the planner's estimate instead
+      // of growing from empty.
       const size_t hint = ReserveHint(plan.est_rows);
-      if (hint > 0) {
-        // Pre-reserve the dedup set and result buffer from the planner's
-        // estimate instead of rehash-growing from empty.
-        if (seen.size() + hint > seen.bucket_count()) {
-          seen.reserve(seen.size() + hint);
-        }
-        if (result.rows.size() + hint > result.rows.capacity()) {
-          result.rows.reserve(result.rows.size() + hint);
-        }
+      if (result.rows.size() + hint > result.rows.capacity()) {
+        result.rows.reserve(result.rows.size() + hint);
       }
       // Detailed plan children only for individually-profiled branches;
       // overflow branches aggregate scan/triple totals below.
@@ -989,6 +995,7 @@ ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
     overflow->label =
         "(+" + std::to_string(overflow_branches) + " more branches)";
   }
+  RecordDuplicates(seen, options);
   return result;
 }
 
@@ -1133,14 +1140,15 @@ size_t Evaluator::CountAnswers(const BgpQuery& q) const {
   size_t count = 0;
   if (q.distinct()) {
     // DISTINCT still needs the set of projected rows, but never a
-    // ResultSet: rows live only inside the dedup structure.
-    std::unordered_set<Row, RowHash> seen;
+    // ResultSet: rows live only inside the dedup table.
+    exec::DedupTable seen(q.projection().size());
     Row scratch;
     join.Run([&](const std::vector<TermId>& bindings) {
       ProjectRowInto(q, bindings, scratch);
-      seen.insert(scratch);
+      seen.Insert(scratch.data());
     });
     count = seen.size();
+    RecordDuplicates(seen, options_);
   } else {
     // Non-distinct counting needs no projection at all.
     join.Run([&](const std::vector<TermId>&) { ++count; });

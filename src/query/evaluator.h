@@ -54,6 +54,10 @@ struct EvalStats {
   // was not engaged, e.g. single-branch unions).
   uint64_t scan_cache_hits = 0;
   uint64_t scan_cache_misses = 0;
+  // Rows the evaluation's dedup table dropped as already answered (union
+  // overlap and DISTINCT); 0 when no table ran. Also counted, once per
+  // evaluation, in wdr.query.duplicate_rows.
+  uint64_t duplicate_rows = 0;
 };
 
 // Knobs shared by Evaluator and FederatedEvaluator.
@@ -144,7 +148,7 @@ class Evaluator {
 
   // Number of rows without materializing a ResultSet: counts stream
   // through the join's emit callback (still enumerates; DISTINCT queries
-  // keep a hash set of projected rows, others never even project).
+  // keep a dedup table of projected rows, others never even project).
   size_t CountAnswers(const BgpQuery& q) const;
 
  private:

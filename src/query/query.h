@@ -16,27 +16,6 @@ using rdf::TermId;
 // Index of a variable within one BgpQuery's variable table.
 using VarId = uint32_t;
 
-// Hash over a row of projected term ids (FNV-1a over the 32-bit ids, with
-// a final splitmix avalanche for bucket quality). Union semantics and
-// DISTINCT de-duplicate through hash sets keyed by this — rows are
-// compared for exact equality, so two distinct rows colliding only costs a
-// probe, never an answer.
-struct RowHash {
-  size_t operator()(const std::vector<TermId>& row) const {
-    uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-    for (TermId id : row) {
-      h ^= id;
-      h *= 1099511628211ull;  // FNV-1a prime
-    }
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebull;
-    h ^= h >> 31;
-    return static_cast<size_t>(h);
-  }
-};
-
 // One position of a triple pattern: a constant term, a variable, or an
 // inclusive id range. Range terms are produced only by hierarchy-aware
 // (LiteMat-encoded) reformulation — "any id in the subclass closure's
@@ -157,6 +136,12 @@ class UnionQuery {
 
   const std::vector<BgpQuery>& branches() const { return branches_; }
   size_t size() const { return branches_.size(); }
+
+  // Values per answer row: the projection width every branch shares (0
+  // for a union without branches).
+  size_t width() const {
+    return branches_.empty() ? 0 : branches_.front().projection().size();
+  }
 
   // ASK form: evaluation stops at the first answer and reports a boolean
   // (a result set with one empty row, or none).

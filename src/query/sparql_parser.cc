@@ -1,5 +1,6 @@
 #include "query/sparql_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 #include <unordered_map>
@@ -146,7 +147,7 @@ class SparqlParser {
     cursor_.Next();
     cursor_.SkipWhitespaceAndComments();
 
-    UnionQuery result;
+    std::vector<BgpQuery> branches;
     if (cursor_.Peek() == '{') {
       // `{ bgp } UNION { bgp } ...`
       while (true) {
@@ -161,18 +162,28 @@ class SparqlParser {
           return cursor_.Error("expected '}' closing a UNION branch");
         }
         cursor_.Next();
-        result.AddBranch(std::move(branch));
+        branches.push_back(std::move(branch));
         if (!ConsumeKeyword("UNION")) break;
       }
     } else {
       WDR_ASSIGN_OR_RETURN(BgpQuery bgp, ParseBgp());
-      result.AddBranch(std::move(bgp));
+      branches.push_back(std::move(bgp));
     }
     cursor_.SkipWhitespaceAndComments();
     if (cursor_.Peek() != '}') {
       return cursor_.Error("expected '}' closing WHERE");
     }
     cursor_.Next();
+    // Every branch projects the same variables, so branch arities line up
+    // (UnionQuery's invariant): a projected variable absent from a branch
+    // is registered there and stays unbound.
+    UnionQuery result;
+    for (BgpQuery& branch : branches) {
+      for (const std::string& name : projection_names_) {
+        branch.Project(branch.AddVar(name));
+      }
+      result.AddBranch(std::move(branch));
+    }
     return result;
   }
 
@@ -200,17 +211,14 @@ class SparqlParser {
     }
     if (q.atoms().empty()) return cursor_.Error("empty graph pattern");
 
-    // Resolve the projection against this branch's variables.
+    // `*` (and ASK) projects every variable of every branch, in first-seen
+    // order; the projection is applied once all branches have parsed.
     if (project_all_) {
       for (const std::string& name : seen_vars) {
-        WDR_ASSIGN_OR_RETURN(VarId v, q.VarByName(name));
-        q.Project(v);
-      }
-    } else {
-      for (const std::string& name : projection_names_) {
-        // A projected variable may be absent from one UNION branch; it is
-        // registered (and stays unbound) so branch arities line up.
-        q.Project(q.AddVar(name));
+        if (std::find(projection_names_.begin(), projection_names_.end(),
+                      name) == projection_names_.end()) {
+          projection_names_.push_back(name);
+        }
       }
     }
     return q;

@@ -131,6 +131,11 @@ class SnapshotStore {
   // Test hook: the published side's underlying StoreView (epoch-pin and
   // compaction-deferral assertions).
   const rdf::StoreView& published_store_view() const;
+  // Test hook: terms interned on side `side` (0 or 1); exact when no write
+  // is in flight.
+  size_t dictionary_size(uint32_t side) const {
+    return sides_[side].store.graph().dict().size();
+  }
 
  private:
   struct Side {

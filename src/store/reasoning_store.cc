@@ -358,6 +358,7 @@ void CompleteRecord(obs::QueryLogRecord& record, const QueryInfo& qinfo,
   }
   record.scan_cache_hits = eval_stats.scan_cache_hits;
   record.scan_cache_misses = eval_stats.scan_cache_misses;
+  record.dup_rows = eval_stats.duplicate_rows;
   record.wall_nanos = static_cast<uint64_t>(qinfo.seconds * 1e9);
   record.ok = result.ok();
   if (result.ok()) {

@@ -1,6 +1,7 @@
 #include "store/update_parser.h"
 
 #include <cctype>
+#include <memory>
 #include <string>
 
 #include "io/turtle.h"
@@ -12,14 +13,16 @@ namespace {
 // Case-insensitive scanner over the update request, extracting the PREFIX
 // prologue and the `INSERT DATA { ... }` / `DELETE DATA { ... }` blocks.
 // Block contents are handed to the Turtle parser (prefix declarations are
-// prepended), then re-encoded into the caller's dictionary.
+// prepended), each into a scratch graph of its own. Only once the whole
+// request has parsed are the scratch terms re-encoded into the caller's
+// dictionary, so a malformed request interns nothing.
 class UpdateScanner {
  public:
   UpdateScanner(std::string_view text, rdf::Dictionary& dict)
       : text_(text), dict_(dict) {}
 
   Result<std::vector<UpdateOp>> Run() {
-    std::vector<UpdateOp> ops;
+    std::vector<Block> blocks;
     while (true) {
       SkipWhitespaceAndComments();
       if (AtEnd()) break;
@@ -44,17 +47,35 @@ class UpdateScanner {
             "only INSERT DATA / DELETE DATA are supported (no WHERE "
             "templates)");
       }
-      WDR_ASSIGN_OR_RETURN(std::string block, CollectBlock());
-      UpdateOp op;
-      op.is_insert = is_insert;
-      WDR_RETURN_IF_ERROR(ParseBlock(block, op.triples));
-      ops.push_back(std::move(op));
+      WDR_ASSIGN_OR_RETURN(std::string text, CollectBlock());
+      Block& block = blocks.emplace_back();
+      block.is_insert = is_insert;
+      block.graph = std::make_unique<rdf::Graph>();
+      WDR_RETURN_IF_ERROR(ParseBlock(text, *block.graph));
     }
-    if (ops.empty()) return Error("empty update request");
+    if (blocks.empty()) return Error("empty update request");
+    std::vector<UpdateOp> ops;
+    ops.reserve(blocks.size());
+    for (const Block& block : blocks) {
+      UpdateOp& op = ops.emplace_back();
+      op.is_insert = block.is_insert;
+      const rdf::Dictionary& terms = block.graph->dict();
+      block.graph->store().Match(0, 0, 0, [&](const rdf::Triple& t) {
+        op.triples.push_back(rdf::Triple(dict_.Intern(terms.term(t.s)),
+                                         dict_.Intern(terms.term(t.p)),
+                                         dict_.Intern(terms.term(t.o))));
+      });
+    }
     return ops;
   }
 
  private:
+  // One parsed data block, its terms still in the block's own dictionary.
+  struct Block {
+    bool is_insert = true;
+    std::unique_ptr<rdf::Graph> graph;
+  };
+
   bool AtEnd() const { return pos_ >= text_.size(); }
   char Peek() const { return AtEnd() ? '\0' : text_[pos_]; }
   char Next() {
@@ -135,8 +156,7 @@ class UpdateScanner {
     return block;
   }
 
-  Status ParseBlock(const std::string& block,
-                    std::vector<rdf::Triple>& out) {
+  Status ParseBlock(const std::string& block, rdf::Graph& out) {
     // The Turtle grammar wants statements terminated with '.'; tolerate a
     // missing final dot as SPARQL UPDATE data blocks commonly omit it.
     std::string document = prologue_ + block;
@@ -144,14 +164,8 @@ class UpdateScanner {
     if (end != std::string::npos && document[end] != '.') {
       document += " .";
     }
-    rdf::Graph scratch;
-    auto parsed = io::ParseTurtle(document, scratch);
+    auto parsed = io::ParseTurtle(document, out);
     if (!parsed.ok()) return parsed.status();
-    scratch.store().Match(0, 0, 0, [&](const rdf::Triple& t) {
-      out.push_back(rdf::Triple(dict_.Intern(scratch.dict().term(t.s)),
-                                dict_.Intern(scratch.dict().term(t.p)),
-                                dict_.Intern(scratch.dict().term(t.o))));
-    });
     return Status::Ok();
   }
 

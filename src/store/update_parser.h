@@ -24,7 +24,8 @@ struct UpdateOp {
 //
 // Blocks use Turtle syntax (prefixed names, `a`, `;`/`,` lists, literals);
 // only ground triples are allowed — INSERT/DELETE WHERE templates are out
-// of scope. Terms are interned into `dict`; nothing is inserted anywhere.
+// of scope. Terms are interned into `dict` only when the whole request
+// parses (an error interns nothing); nothing is inserted anywhere.
 Result<std::vector<UpdateOp>> ParseSparqlUpdate(std::string_view text,
                                                 rdf::Dictionary& dict);
 

@@ -806,6 +806,7 @@ TEST(QueryLogTest, ToJsonLineSerializesAllFields) {
   r.est_rows = 42;
   r.rows = 40;
   r.scan_cache_hits = 3;
+  r.dup_rows = 5;
   r.wall_nanos = 12345;
   r.ok = true;
   const std::string line = r.ToJsonLine();
@@ -820,6 +821,7 @@ TEST(QueryLogTest, ToJsonLineSerializesAllFields) {
   EXPECT_NE(line.find("\"est_rows\":42"), std::string::npos);
   EXPECT_NE(line.find("\"rows\":40"), std::string::npos);
   EXPECT_NE(line.find("\"scan_cache_hits\":3"), std::string::npos);
+  EXPECT_NE(line.find("\"dup_rows\":5"), std::string::npos);
   EXPECT_NE(line.find("\"wall_nanos\":12345"), std::string::npos);
   EXPECT_NE(line.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(line.find("\\\"x\\\""), std::string::npos);
@@ -912,6 +914,45 @@ TEST(QueryLogIntegrationTest, OneRecordPerQueryIncludingErrors) {
   EXPECT_FALSE(records[2].error.empty());
   EXPECT_EQ(records[2].rows, 0u);
   EXPECT_EQ(records[2].query, "THIS IS NOT SPARQL");
+  log.Clear();
+}
+
+// tom is typed both Cat and Mammal, so the reformulated Animal query
+// (Animal | Mammal | Cat) answers tom twice and drops one copy. The drop
+// shows in the record, its JSON line and the counter, on both join routes.
+TEST(QueryLogIntegrationTest, DuplicateRowsReachRecordAndCounter) {
+  QueryLog& log = QueryLog::Get();
+  log.Clear();
+  store::ReasoningStoreOptions options;
+  options.mode = store::ReasoningMode::kReformulation;
+  options.encoding = false;
+  store::ReasoningStore store(options);
+  ASSERT_TRUE(
+      store.LoadTurtle(std::string(kThreeTriples) + "ex:tom a ex:Mammal .\n")
+          .ok());
+  for (bool plan : {false, true}) {
+    store.SetPlanMode(plan);
+    const MetricsSnapshot before = MetricsRegistry::Get().Snapshot();
+    auto result = store.Query(kAnimalQuery);
+    const MetricsSnapshot after = MetricsRegistry::Get().Snapshot();
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().rows.size(), 1u);
+    EXPECT_EQ(CounterDelta(before, after, "wdr.query.duplicate_rows"), 1u)
+        << "plan=" << plan;
+    const QueryLogRecord record = log.Records().back();
+    EXPECT_EQ(record.union_size, 3u);
+    EXPECT_EQ(record.dup_rows, 1u) << "plan=" << plan;
+    EXPECT_NE(record.ToJsonLine().find("\"dup_rows\":1"), std::string::npos);
+  }
+
+  // A query without overlap drops nothing.
+  store.SetPlanMode(false);
+  ASSERT_TRUE(store.Query("PREFIX rdf: "
+                          "<http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
+                          "PREFIX ex: <http://ex.org/>\n"
+                          "SELECT ?x WHERE { ?x rdf:type ex:Cat }")
+                  .ok());
+  EXPECT_EQ(log.Records().back().dup_rows, 0u);
   log.Clear();
 }
 

@@ -472,6 +472,25 @@ TEST_F(ServerProtocolTest, FailedUpdatePublishesNoEpoch) {
   }
 }
 
+// A multi-block UPDATE whose later block is malformed answers ERR before
+// any term is interned: neither side's dictionary grows.
+TEST_F(ServerProtocolTest, FailedUpdateInternsNoTerms) {
+  StartServer();
+  Client client;
+  ASSERT_TRUE(client.Connect(server_->port()).ok());
+  const size_t before[2] = {store_.dictionary_size(0),
+                            store_.dictionary_size(1)};
+  auto update = client.Update(std::string(kPrefixes) +
+                              "INSERT DATA { ex:newcomer a ex:Cat } ;\n"
+                              "INSERT DATA { ex:stranger a ex:Dog ");
+  ASSERT_TRUE(update.ok());
+  EXPECT_FALSE(update.value().ok);
+  // PING is answered after the writer is done with both sides.
+  ASSERT_TRUE(client.Call("PING\n").ok());
+  EXPECT_EQ(store_.dictionary_size(0), before[0]);
+  EXPECT_EQ(store_.dictionary_size(1), before[1]);
+}
+
 // Each frame is one send and both ends set TCP_NODELAY, so a request's
 // round trip is not held by a delayed ACK (~40 ms each). Two sends per
 // frame without TCP_NODELAY make these 220 round trips take >= 17 s.

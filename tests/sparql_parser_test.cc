@@ -59,6 +59,25 @@ TEST(SparqlParserTest, StarProjectsAllVarsInOrder) {
             (std::vector<std::string>{"b", "a", "c"}));
 }
 
+// `*` and ASK project every variable of every UNION branch, so branch
+// arities line up (one dedup width for the whole union).
+TEST(SparqlParserTest, StarAndAskOverUnionProjectEveryBranchVar) {
+  Dictionary dict;
+  for (const char* text :
+       {"SELECT * WHERE { { ?x <http://p> ?y } UNION { ?z <http://q> ?x } }",
+        "ASK { { ?x <http://p> ?y } UNION { ?z <http://q> ?x } }"}) {
+    auto q = ParseSparql(text, dict);
+    ASSERT_TRUE(q.ok()) << q.status();
+    ASSERT_EQ(q->size(), 2u);
+    for (const BgpQuery& branch : q->branches()) {
+      EXPECT_EQ(branch.ProjectionNames(),
+                (std::vector<std::string>{"x", "y", "z"}))
+          << text;
+    }
+    EXPECT_EQ(q->width(), 3u);
+  }
+}
+
 TEST(SparqlParserTest, UnionBranches) {
   Dictionary dict;
   auto q = ParseSparql(

@@ -400,6 +400,45 @@ TEST(UpdateParserTest, RejectsTemplates) {
   EXPECT_NE(ops.status().message().find("DATA"), std::string::npos);
 }
 
+// A malformed block, or a malformed token after a good block, fails the
+// whole request before any term reaches the dictionary.
+TEST(UpdateParserTest, MalformedRequestInternsNothing) {
+  rdf::Dictionary dict;
+  dict.InternIri("http://ex.org/known");
+  const size_t before = dict.size();
+  for (const char* request :
+       {"PREFIX ex: <http://ex.org/>\n"
+        "INSERT DATA { ex:fresh1 ex:p ex:fresh2 } ;\n"
+        "INSERT DATA { ex:fresh3 a ex:C ",
+        "PREFIX ex: <http://ex.org/>\n"
+        "INSERT DATA { ex:fresh1 ex:p ex:fresh2 } ;\n"
+        "DELETE DATA { ex:fresh3 ex:p \"unterminated }",
+        "PREFIX ex: <http://ex.org/>\n"
+        "INSERT DATA { ex:fresh1 ex:p ex:fresh2 } ;\n"
+        "DELETE WHERE { ?x ex:p ?y }"}) {
+    auto ops = ParseSparqlUpdate(request, dict);
+    EXPECT_FALSE(ops.ok()) << request;
+    EXPECT_EQ(dict.size(), before) << request;
+  }
+}
+
+TEST(ReasoningStoreTest, FailedUpdateInternsNothing) {
+  ReasoningStore store;
+  ASSERT_TRUE(store.LoadTurtle(kData).ok());
+  const size_t before = store.graph().dict().size();
+  auto info = store.Update(
+      "PREFIX ex: <http://ex.org/>\n"
+      "INSERT DATA { ex:newcomer a ex:Cat } ;\n"
+      "INSERT DATA { ex:other a ");
+  EXPECT_FALSE(info.ok());
+  EXPECT_EQ(store.graph().dict().size(), before);
+  // A good request after it interns as usual.
+  ASSERT_TRUE(store.Update("PREFIX ex: <http://ex.org/>\n"
+                           "INSERT DATA { ex:newcomer a ex:Cat }")
+                  .ok());
+  EXPECT_EQ(store.graph().dict().size(), before + 1);
+}
+
 // Property: a random mixed stream of SPARQL updates leaves saturation and
 // reformulation modes agreeing on a probe query.
 TEST(ReasoningStorePropertyTest, ModesAgreeUnderUpdateStream) {
