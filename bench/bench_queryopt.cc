@@ -174,10 +174,11 @@ BENCHMARK(BM_ManyAnswerDistinctQ8)
     ->Unit(benchmark::kMillisecond)
     ->ArgName("plan");
 
-// Reformulated-union evaluation, scan cache on/off. Q6 (Faculty ⋈ teacherOf ⋈ Course) reformulates into a
-// 36-CQ grid whose branches share leading scans and re-issue the same
-// bound probes — the workload the scan-signature cache targets. Evaluated
-// over the BASE graph (that is the reformulation technique: q_ref on G).
+// Reformulated-union evaluation, scan cache on/off. Q6 (Faculty ⋈
+// teacherOf ⋈ Course) reformulates into a 36-CQ grid whose branches share
+// leading scans and re-issue the same bound probes — the workload the
+// scan-signature cache targets. Evaluated over the BASE graph (that is the
+// reformulation technique: q_ref on G).
 struct ReformulationFixture {
   wdr::workload::UniversityData data;
   wdr::query::UnionQuery q6_ref;

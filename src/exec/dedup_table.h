@@ -18,18 +18,17 @@ namespace wdr::exec {
 // table with linear probing indexes them. A slot is 8 bytes: the upper 32
 // bits of the row's 64-bit hash, which also pick its home slot, and the
 // row's index. (Keeping the full hash doubles the slot to 16 bytes and
-// made 88k-row inserts ~30% slower.) Rows are compared in full, so rows
-// colliding on the stored bits only cost a probe, never an answer. The
-// slot array doubles before an insert would push it past half load, and
-// nothing is allocated before the first insert, so the many evaluations
-// that answer a handful of rows (or none) pay for no empty buckets. Width
-// 0 (ASK, an empty projection) is a set of at most one row: every row is
-// equal.
+// made 88k-row inserts take ~40% longer.) Rows are compared in full, so
+// rows colliding on the stored bits only cost a probe, never an answer.
+// The slot array doubles before an insert would push it past half load,
+// and nothing is allocated before the first insert, so the many
+// evaluations that answer a handful of rows (or none) pay for no empty
+// buckets. Width 0 (ASK, an empty projection) is a set of at most one
+// row: every row is equal.
 class DedupTable {
  public:
   explicit DedupTable(size_t width) : width_(width) {}
 
-  size_t width() const { return width_; }
   // Distinct rows inserted so far.
   size_t size() const { return size_; }
   // Inserts that found their row already present.

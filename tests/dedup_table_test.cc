@@ -53,7 +53,6 @@ std::vector<Row> RandomRows(Rng& rng, size_t width, size_t count,
 
 TEST(DedupTableTest, EmptyTableHoldsNothing) {
   DedupTable table(3);
-  EXPECT_EQ(table.width(), 3u);
   EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.duplicates(), 0u);
 }
@@ -139,9 +138,11 @@ BgpQuery PathQuery(size_t width, TermId p, TermId q) {
   const VarId a = query.AddVar("a");
   const VarId b = query.AddVar("b");
   const VarId c = query.AddVar("c");
-  query.AddAtom(TriplePattern{PatternTerm::Variable(a), PatternTerm::Constant(p),
+  query.AddAtom(TriplePattern{PatternTerm::Variable(a),
+                              PatternTerm::Constant(p),
                               PatternTerm::Variable(b)});
-  query.AddAtom(TriplePattern{PatternTerm::Variable(b), PatternTerm::Constant(q),
+  query.AddAtom(TriplePattern{PatternTerm::Variable(b),
+                              PatternTerm::Constant(q),
                               PatternTerm::Variable(c)});
   const VarId vars[] = {a, b, c};
   for (size_t i = 0; i < width; ++i) query.Project(vars[i]);
@@ -165,7 +166,9 @@ TEST(DedupTableTest, CountAnswersEqualsDistinctEvaluateOnBothRoutes) {
         // The evaluated rows are already distinct.
         const std::set<Row> distinct(rows.rows.begin(), rows.rows.end());
         EXPECT_EQ(distinct.size(), rows.rows.size());
-        if (width == 0) EXPECT_LE(rows.rows.size(), 1u);
+        if (width == 0) {
+          EXPECT_LE(rows.rows.size(), 1u);
+        }
       }
     }
   }
