@@ -291,7 +291,9 @@ bool RunCommand(ReasoningStore& store, const std::string& line) {
         std::cout << result->rows.size() << " answer(s) in "
                   << static_cast<long long>(info.seconds * 1e6) << "us via "
                   << ReasoningModeName(info.mode)
-                  << (store.plan_mode() ? " [plan]" : " [legacy join]")
+                  << (store.plan_mode() && ModePlans(info.mode)
+                          ? " [plan]"
+                          : " [legacy join]")
                   << "\n";
         if (info.profile != nullptr) std::cout << info.profile->Render();
         return true;

@@ -7,11 +7,7 @@
 #include <vector>
 
 #include "exec/dedup_table.h"
-#include "exec/executor.h"
-#include "exec/planner.h"
-#include "exec/source.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 
 namespace wdr::backward {
 namespace {
@@ -172,7 +168,6 @@ class BackwardJoin {
                std::vector<std::vector<Alternative>> expansions,
                BackwardStats* stats)
       : store_(store),
-        q_(q),
         expansions_(std::move(expansions)),
         stats_(stats),
         bindings_(q.var_count(), kNullTermId) {
@@ -250,93 +245,10 @@ class BackwardJoin {
   }
 
   const StoreView& store_;
-  const BgpQuery& q_;
   std::vector<std::vector<Alternative>> expansions_;
   BackwardStats* stats_;
   std::vector<TermId> bindings_;
 };
-
-// Maps one rewriting alternative to a planner AtomAlt: pattern positions
-// become planner terms (the occur-once kIgnoreVar positions map to Any),
-// unification-grounded variables become var_eq entries.
-exec::AtomAlt ToAtomAlt(const Alternative& alt) {
-  exec::AtomAlt out;
-  auto term = [](const PatternTerm& t) {
-    if (t.is_const()) return exec::AtomTerm::Const(t.id);
-    if (t.var == kIgnoreVar) return exec::AtomTerm::Any();
-    return exec::AtomTerm::Var(t.var);
-  };
-  out.terms = {term(alt.pattern.s), term(alt.pattern.p), term(alt.pattern.o)};
-  out.var_eq.reserve(alt.bindings.size());
-  for (const auto& [var, value] : alt.bindings) {
-    out.var_eq.emplace_back(var, value);
-  }
-  return out;
-}
-
-// Plan route: the expanded atoms compile into multi-alternative scan
-// nodes of one shared physical plan, replacing the per-binding
-// backtracking join. Returns false when planning declines (the caller
-// falls back to BackwardJoin).
-bool PlanJoin(const StoreView& store, const BgpQuery& q,
-              const std::vector<std::vector<Alternative>>& expansions,
-              const BackwardOptions& options, BackwardStats* stats,
-              ResultSet& result, exec::DedupTable& seen) {
-  exec::ConjunctiveSpec spec;
-  spec.conjuncts.reserve(expansions.size());
-  for (size_t i = 0; i < expansions.size(); ++i) {
-    exec::PlanConjunct conjunct;
-    conjunct.source = 0;
-    conjunct.label = "atom#" + std::to_string(i) + " (" +
-                     std::to_string(expansions[i].size()) + " alts)";
-    conjunct.alts.reserve(expansions[i].size());
-    for (const Alternative& alt : expansions[i]) {
-      conjunct.alts.push_back(ToAtomAlt(alt));
-    }
-    spec.conjuncts.push_back(std::move(conjunct));
-  }
-  for (const auto& [var, value] : q.preset()) {
-    spec.presets.emplace_back(var, value);
-  }
-  spec.projection.assign(q.projection().begin(), q.projection().end());
-
-  // Fresh statistics select the cost-based mode; missing or stale ones
-  // degrade to the greedy bound-first order over the store's own
-  // estimates (run-time bindings priced as wild — conservative).
-  const exec::Statistics empty_stats;
-  exec::StatisticsEstimator stats_estimator(
-      options.stats != nullptr ? *options.stats : empty_stats);
-  exec::StoreEstimator<StoreView> store_estimator(store);
-  exec::PlannerOptions popts;
-  popts.hash_joins = options.hash_joins;
-  const bool fresh = options.stats != nullptr && !options.stats->empty() &&
-                     options.stats->total_triples() == store.size();
-  if (fresh) {
-    popts.estimator = &stats_estimator;
-    popts.cost_based = true;
-  } else {
-    popts.estimator = &store_estimator;
-    popts.cost_based = false;
-  }
-  exec::CompiledPlan plan = exec::PlanConjunctive(spec, popts);
-  if (plan.root == nullptr) return false;
-
-  exec::StoreSource<StoreView> source(store);
-  std::vector<const exec::TupleSource*> sources{&source};
-  exec::ExecOptions eopts;
-  eopts.batch_rows = options.batch_rows;
-  obs::ProfileNode profile("backward_plan");
-  exec::Run(*plan.root, sources, eopts,
-            [&](const exec::Value* row, size_t width) {
-              if (seen.Insert(row)) result.rows.emplace_back(row, row + width);
-              return true;
-            },
-            &profile);
-  const uint64_t probes = profile.TotalScans();
-  if (stats != nullptr) stats->index_probes += probes;
-  WDR_COUNTER_ADD("wdr.backward.index_probes", probes);
-  return true;
-}
 
 }  // namespace
 
@@ -354,10 +266,6 @@ ResultSet BackwardChainingEvaluator::Evaluate(const BgpQuery& q,
   ResultSet result;
   result.var_names = q.ProjectionNames();
   exec::DedupTable seen(q.projection().size());
-  if (options_.plan &&
-      PlanJoin(*store_, q, expansions, options_, stats, result, seen)) {
-    return result;
-  }
   BackwardJoin join(*store_, q, std::move(expansions), stats);
   Row row;
   join.Run([&](const std::vector<TermId>& bindings) {

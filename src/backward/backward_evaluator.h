@@ -3,8 +3,6 @@
 
 #include <vector>
 
-#include "exec/plan.h"
-#include "exec/statistics.h"
 #include "query/evaluator.h"
 #include "query/query.h"
 #include "rdf/store_view.h"
@@ -17,22 +15,6 @@ namespace wdr::backward {
 struct BackwardStats {
   size_t atom_alternatives = 0;  // total expansion alternatives generated
   size_t index_probes = 0;       // store Match calls issued during the join
-};
-
-// Evaluation knobs. `plan` compiles the expanded atoms — each a
-// disjunction of rewriting alternatives — into the shared wdr::exec
-// physical-plan IR (multi-alternative scan nodes; cost-based join order
-// and hash joins when `stats` is fresh, greedy bound-first nested loops
-// otherwise) instead of the recursive backtracking join. Answer sets are
-// identical either way (differentially tested). WDR_PLAN=1 in the
-// environment flips the `plan` default on.
-struct BackwardOptions {
-  bool plan = exec::PlanModeDefault();
-  bool hash_joins = true;
-  size_t batch_rows = 1024;
-  // Optional per-predicate statistics for cost-based planning; empty or
-  // stale statistics degrade gracefully to the greedy bound-first order.
-  const exec::Statistics* stats = nullptr;
 };
 
 // Run-time backward chaining: answers BGP queries over the *virtual*
@@ -55,11 +37,6 @@ class BackwardChainingEvaluator {
                             const schema::Schema& schema,
                             const schema::Vocabulary& vocab)
       : store_(&store), schema_(&schema), vocab_(vocab) {}
-  BackwardChainingEvaluator(const rdf::StoreView& store,
-                            const schema::Schema& schema,
-                            const schema::Vocabulary& vocab,
-                            const BackwardOptions& options)
-      : store_(&store), schema_(&schema), vocab_(vocab), options_(options) {}
 
   query::ResultSet Evaluate(const query::BgpQuery& q,
                             BackwardStats* stats = nullptr) const;
@@ -70,7 +47,6 @@ class BackwardChainingEvaluator {
   const rdf::StoreView* store_;      // not owned
   const schema::Schema* schema_;     // not owned
   schema::Vocabulary vocab_;
-  BackwardOptions options_;
 };
 
 }  // namespace wdr::backward

@@ -41,10 +41,6 @@ class Relation {
   // Tuple indexes whose column `col` equals `value`.
   const std::vector<uint32_t>& Probe(size_t col, Sym value) const;
 
-  // Number of distinct values in column `col` (index key count) — the
-  // per-column statistic the physical-plan cost model divides by.
-  size_t DistinctValues(size_t col) const { return indexes_[col].size(); }
-
  private:
   size_t arity_;
   std::vector<Tuple> tuples_;

@@ -108,18 +108,9 @@ Result<rdf::TripleStore> MaterializeViaDatalog(const rdf::Graph& graph,
                                                const schema::Vocabulary& vocab,
                                                Strategy strategy,
                                                EvalStats* stats) {
-  MaterializeOptions options;
-  options.strategy = strategy;
-  return MaterializeViaDatalog(graph, vocab, options, stats);
-}
-
-Result<rdf::TripleStore> MaterializeViaDatalog(const rdf::Graph& graph,
-                                               const schema::Vocabulary& vocab,
-                                               const MaterializeOptions& options,
-                                               EvalStats* stats) {
   RdfDatalogTranslation xlat = TranslateGraph(graph, vocab);
   WDR_ASSIGN_OR_RETURN(Database db,
-                       MaterializeWithOptions(xlat.program, options, stats));
+                       Materialize(xlat.program, strategy, stats));
   rdf::TripleStore closure;
   for (const Tuple& t : db.relation(xlat.triple_pred).tuples()) {
     closure.Insert(rdf::Triple(xlat.term_of_sym[t[0]], xlat.term_of_sym[t[1]],
@@ -130,8 +121,7 @@ Result<rdf::TripleStore> MaterializeViaDatalog(const rdf::Graph& graph,
 
 Result<query::ResultSet> AnswerViaDatalog(const RdfDatalogTranslation& xlat,
                                           const Database& db,
-                                          const query::UnionQuery& q,
-                                          const BodyPlanOptions* plan) {
+                                          const query::UnionQuery& q) {
   query::ResultSet result;
   exec::DedupTable seen(q.width());
   query::Row row;
@@ -188,7 +178,7 @@ Result<query::ResultSet> AnswerViaDatalog(const RdfDatalogTranslation& xlat,
     }
     WDR_ASSIGN_OR_RETURN(
         std::vector<Tuple> rows,
-        EvaluateQuery(xlat.program, db, body, effective, plan));
+        EvaluateQuery(xlat.program, db, body, effective));
     for (const Tuple& tuple : rows) {
       row.assign(projection.size(), rdf::kNullTermId);
       for (size_t i = 0; i < effective_cols.size(); ++i) {

@@ -47,22 +47,13 @@ Result<rdf::TripleStore> MaterializeViaDatalog(
     const rdf::Graph& graph, const schema::Vocabulary& vocab,
     Strategy strategy = Strategy::kSemiNaive, EvalStats* stats = nullptr);
 
-// Same, with the full materialization configuration (strategy and the
-// wdr::exec physical-plan route).
-Result<rdf::TripleStore> MaterializeViaDatalog(
-    const rdf::Graph& graph, const schema::Vocabulary& vocab,
-    const MaterializeOptions& options, EvalStats* stats = nullptr);
-
 // Answers a BGP / union query through the Datalog route: translates each
 // branch into a conjunctive query over `triple`, evaluates it against the
 // materialized database, and maps syms back to dictionary ids. Results are
 // set-semantics rows in the projection order of the query.
-// `plan`, when non-null, routes each branch's conjunctive body through a
-// wdr::exec physical plan instead of the recursive join.
 Result<query::ResultSet> AnswerViaDatalog(const RdfDatalogTranslation& xlat,
                                           const Database& db,
-                                          const query::UnionQuery& q,
-                                          const BodyPlanOptions* plan = nullptr);
+                                          const query::UnionQuery& q);
 
 // Answers a BGP / union query through Datalog + magic sets, with NO prior
 // materialization: each branch is wrapped in a fresh answer predicate whose

@@ -19,10 +19,10 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-// A ScanAlt lowered against a concrete source arity: constants baked into
-// the pattern buffer, input/output positions split out, and repeated
+// A ScanPattern lowered against a concrete source arity: constants baked
+// into the pattern buffer, input/output positions split out, and repeated
 // output columns turned into tuple-level equality checks.
-struct CompiledAlt {
+struct CompiledScan {
   std::vector<Value> values;
   std::vector<Value> values_hi;  // kRange upper bounds (parallel to values)
   std::vector<uint8_t> bound;
@@ -30,7 +30,7 @@ struct CompiledAlt {
   std::vector<std::pair<uint32_t, ColId>> inputs;      // src pos ← input col
   std::vector<std::pair<ColId, uint32_t>> outputs;     // out col ← src pos
   std::vector<std::pair<uint32_t, uint32_t>> repeats;  // tuple[a] == tuple[b]
-  const ScanAlt* alt = nullptr;
+  const std::vector<std::pair<ColId, Value>>* presets = nullptr;
 
   // Routes through the range entry point only when a range is present, so
   // point-only plans keep the exact pre-range call path.
@@ -43,10 +43,10 @@ struct CompiledAlt {
   }
 };
 
-CompiledAlt CompileAlt(const ScanAlt& alt) {
-  CompiledAlt c;
-  c.alt = &alt;
-  const size_t arity = alt.slots.size();
+CompiledScan CompileScan(const ScanPattern& scan) {
+  CompiledScan c;
+  c.presets = &scan.presets;
+  const size_t arity = scan.slots.size();
   c.values.assign(arity, 0);
   c.values_hi.assign(arity, 0);
   c.bound.assign(arity, 0);
@@ -54,7 +54,7 @@ CompiledAlt CompileAlt(const ScanAlt& alt) {
   // variable repeated inside one atom.
   std::vector<std::pair<ColId, uint32_t>> first_pos;
   for (uint32_t i = 0; i < arity; ++i) {
-    const Slot& slot = alt.slots[i];
+    const Slot& slot = scan.slots[i];
     switch (slot.kind) {
       case Slot::Kind::kConst:
         c.values[i] = slot.value;
@@ -84,8 +84,6 @@ CompiledAlt CompileAlt(const ScanAlt& alt) {
         c.values_hi[i] = slot.value2;
         c.bound[i] = TupleSource::kRange;
         c.has_range = true;
-        break;
-      case Slot::Kind::kAny:
         break;
     }
   }
@@ -150,25 +148,22 @@ class Executor {
     const TupleSource& src = *sources_[node.source];
     Batch out(node.width, batch_rows_);
     bool keep = true;
-    for (const ScanAlt& alt : node.alts) {
-      if (!keep) break;
-      CompiledAlt c = CompileAlt(alt);
-      ++scans;
-      if (stats != nullptr) ++stats->scans;
-      c.Scan(src, [&](const Value* tuple) {
-        ++triples;
-        if (stats != nullptr) ++stats->triples;
-        for (const auto& [a, b] : c.repeats) {
-          if (tuple[a] != tuple[b]) return true;
-        }
-        const size_t r = out.rows();
-        for (const auto& [col, pos] : c.outputs) out.at(col, r) = tuple[pos];
-        for (const auto& [col, v] : alt.presets) out.at(col, r) = v;
-        out.set_rows(r + 1);
-        if (out.full()) keep = Flush(out, stats, sink);
-        return keep;
-      });
-    }
+    const CompiledScan c = CompileScan(node.scan);
+    ++scans;
+    if (stats != nullptr) ++stats->scans;
+    c.Scan(src, [&](const Value* tuple) {
+      ++triples;
+      if (stats != nullptr) ++stats->triples;
+      for (const auto& [a, b] : c.repeats) {
+        if (tuple[a] != tuple[b]) return true;
+      }
+      const size_t r = out.rows();
+      for (const auto& [col, pos] : c.outputs) out.at(col, r) = tuple[pos];
+      for (const auto& [col, v] : *c.presets) out.at(col, r) = v;
+      out.set_rows(r + 1);
+      if (out.full()) keep = Flush(out, stats, sink);
+      return keep;
+    });
     if (keep) keep = Flush(out, stats, sink);
     return keep;
   }
@@ -177,48 +172,36 @@ class Executor {
                     const BatchSink& sink) {
     const TupleSource& src = *sources_[node.source];
     const size_t in_width = node.children[0]->width;
-    std::vector<CompiledAlt> alts;
-    alts.reserve(node.alts.size());
-    for (const ScanAlt& alt : node.alts) alts.push_back(CompileAlt(alt));
+    CompiledScan c = CompileScan(node.scan);
 
     Batch out(node.width, batch_rows_);
     bool keep = true;  // declared before the lambda below runs inside RunNode
     RunNode(*node.children[0], stats, [&](Batch& in) {
       for (size_t r = 0; r < in.rows(); ++r) {
-        for (CompiledAlt& c : alts) {
-          bool applies = true;
-          for (const auto& [col, v] : c.alt->checks) {
-            if (in.at(col, r) != v) {
-              applies = false;
-              break;
-            }
-          }
-          if (!applies) continue;
-          for (const auto& [pos, col] : c.inputs) {
-            c.values[pos] = in.at(col, r);
-          }
-          ++scans;
-          if (stats != nullptr) ++stats->scans;
-          c.Scan(src, [&](const Value* tuple) {
-            ++triples;
-            if (stats != nullptr) ++stats->triples;
-            for (const auto& [a, b] : c.repeats) {
-              if (tuple[a] != tuple[b]) return true;
-            }
-            const size_t o = out.rows();
-            for (size_t col = 0; col < in_width; ++col) {
-              out.at(col, o) = in.at(col, r);
-            }
-            for (const auto& [col, pos] : c.outputs) {
-              out.at(col, o) = tuple[pos];
-            }
-            for (const auto& [col, v] : c.alt->presets) out.at(col, o) = v;
-            out.set_rows(o + 1);
-            if (out.full()) keep = Flush(out, stats, sink);
-            return keep;
-          });
-          if (!keep) return false;
+        for (const auto& [pos, col] : c.inputs) {
+          c.values[pos] = in.at(col, r);
         }
+        ++scans;
+        if (stats != nullptr) ++stats->scans;
+        c.Scan(src, [&](const Value* tuple) {
+          ++triples;
+          if (stats != nullptr) ++stats->triples;
+          for (const auto& [a, b] : c.repeats) {
+            if (tuple[a] != tuple[b]) return true;
+          }
+          const size_t o = out.rows();
+          for (size_t col = 0; col < in_width; ++col) {
+            out.at(col, o) = in.at(col, r);
+          }
+          for (const auto& [col, pos] : c.outputs) {
+            out.at(col, o) = tuple[pos];
+          }
+          for (const auto& [col, v] : *c.presets) out.at(col, o) = v;
+          out.set_rows(o + 1);
+          if (out.full()) keep = Flush(out, stats, sink);
+          return keep;
+        });
+        if (!keep) return false;
       }
       return true;
     });

@@ -1,7 +1,9 @@
-// Physical-plan IR shared by the query evaluator, the Datalog
-// materializer, and the backward-chaining evaluator. A plan is a tree of
-// operators over columnar batches of uint32 values; the planner
-// (planner.h) builds plans, the executor (executor.h) runs them.
+// Physical-plan IR of the BGP/UCQ query evaluator (query::Evaluator and,
+// through it, the saturation, reformulation and federated routes). A plan
+// is a tree of operators over columnar batches of uint32 values; the
+// planner (planner.h) builds plans, the executor (executor.h) runs them.
+// Backward chaining and Datalog do not compile into it: each runs its own
+// recursive join.
 #ifndef WDR_EXEC_PLAN_H_
 #define WDR_EXEC_PLAN_H_
 
@@ -29,11 +31,10 @@ enum class OpKind : uint8_t {
 
 const char* OpKindName(OpKind kind);
 
-// Process-wide default for the `plan` knobs of every evaluator that
-// compiles into this IR (query, Datalog, backward chaining): true iff the
+// Process-wide default for query::EvaluatorOptions::plan: true iff the
 // environment variable WDR_PLAN is exactly "1" (read once). Lets one CI
-// matrix entry run the entire test suite through the planner while the
-// regular entry keeps the legacy joins as reference.
+// matrix entry run the entire test suite's BGP evaluation through the
+// planner while the regular entry keeps the legacy join as reference.
 bool PlanModeDefault();
 
 // One position of a source pattern as seen by a scan or bound-loop
@@ -43,11 +44,10 @@ struct Slot {
     kConst,   // position must equal `value`
     kInput,   // position must equal input column `col` (bound-loop only)
     kOutput,  // position is emitted into output column `col`
-    kAny,     // position unconstrained and dropped
     kRange,   // position must lie in [value, value2]; never emitted
   };
 
-  Kind kind = Kind::kAny;
+  Kind kind = Kind::kConst;
   Value value = 0;
   Value value2 = 0;  // kRange upper bound (inclusive)
   ColId col = kNoColumn;
@@ -55,26 +55,17 @@ struct Slot {
   static Slot Const(Value v) { return {Kind::kConst, v, 0, kNoColumn}; }
   static Slot Input(ColId c) { return {Kind::kInput, 0, 0, c}; }
   static Slot Output(ColId c) { return {Kind::kOutput, 0, 0, c}; }
-  static Slot Any() { return {Kind::kAny, 0, 0, kNoColumn}; }
   static Slot Range(Value lo, Value hi) {
     return {Kind::kRange, lo, hi, kNoColumn};
   }
 };
 
-// One way a conjunct can match. Backward chaining expands an atom into
-// several alternatives (the original pattern plus every rule rewriting);
-// plain BGP and Datalog atoms have exactly one. All alternatives of a node
-// produce the same output columns: a column an alternative's slots do not
-// cover must appear in its presets.
-struct ScanAlt {
+// How a scan or bound-loop operator matches its source.
+struct ScanPattern {
   std::vector<Slot> slots;  // one per source column
-  // Output column := constant, applied to every emitted row (variables a
-  // rewriting grounds without a matching pattern position).
+  // Output column := constant, applied to every emitted row (projected
+  // preset variables, which no pattern position binds).
   std::vector<std::pair<ColId, Value>> presets;
-  // Input column must equal constant for this alternative to apply
-  // (bound-loop only: variables already bound upstream that a rewriting
-  // grounds).
-  std::vector<std::pair<ColId, Value>> checks;
 };
 
 // col == other (when other != kNoColumn), else col == value.
@@ -91,7 +82,7 @@ struct PlanNode {
 
   // kIndexScan / kBoundNestedLoopJoin: which TupleSource, and how to match.
   size_t source = 0;
-  std::vector<ScanAlt> alts;
+  ScanPattern scan;
 
   // kHashJoin: equality keys as (probe column, build column) pairs, plus
   // the build columns appended after the probe columns in the output

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace wdr::exec {
 namespace {
@@ -11,34 +10,28 @@ namespace {
 using VarCols = std::unordered_map<uint32_t, ColId>;
 using PresetMap = std::unordered_map<uint32_t, Value>;
 
-// All variable keys a conjunct can bind, across alternatives (pattern
-// positions and unification-grounded variables alike).
-std::unordered_set<uint32_t> ConjunctVars(const PlanConjunct& conjunct) {
-  std::unordered_set<uint32_t> vars;
-  for (const AtomAlt& alt : conjunct.alts) {
-    for (const AtomTerm& term : alt.terms) {
-      if (term.kind == AtomTerm::Kind::kVar) vars.insert(term.var);
-    }
-    for (const auto& [var, value] : alt.var_eq) {
-      (void)value;
-      vars.insert(var);
+// True when some variable of the conjunct is already bound upstream.
+bool Connected(const PlanConjunct& conjunct, const VarCols& bound) {
+  for (const AtomTerm& term : conjunct.terms) {
+    if (term.kind == AtomTerm::Kind::kVar && bound.count(term.var) != 0) {
+      return true;
     }
   }
-  return vars;
+  return false;
 }
 
-// Estimated matches of one alternative given the currently bound
-// variables. Presets count as known constants, pipeline-bound variables as
+// Estimated matches of a conjunct given the currently bound variables.
+// Presets count as known constants, pipeline-bound variables as
 // run-time-bound, everything else as wild.
-double AltEstimate(const AtomAlt& alt, size_t source,
-                   const CardinalityEstimator& estimator,
-                   const PresetMap& presets, const VarCols& bound) {
-  const size_t arity = alt.terms.size();
+double ConjunctEstimate(const PlanConjunct& conjunct,
+                        const CardinalityEstimator& estimator,
+                        const PresetMap& presets, const VarCols& bound) {
+  const size_t arity = conjunct.terms.size();
   std::vector<Value> values(arity, 0);
   std::vector<Value> values_hi(arity, 0);
   std::vector<uint8_t> modes(arity, CardinalityEstimator::kWild);
   for (size_t i = 0; i < arity; ++i) {
-    const AtomTerm& term = alt.terms[i];
+    const AtomTerm& term = conjunct.terms[i];
     switch (term.kind) {
       case AtomTerm::Kind::kConst:
         values[i] = term.value;
@@ -59,60 +52,44 @@ double AltEstimate(const AtomAlt& alt, size_t source,
         values_hi[i] = term.value2;
         modes[i] = CardinalityEstimator::kRange;
         break;
-      case AtomTerm::Kind::kAny:
-        break;
     }
   }
-  return estimator.Estimate(source, values.data(), values_hi.data(),
+  return estimator.Estimate(conjunct.source, values.data(), values_hi.data(),
                             modes.data(), arity);
 }
 
-double ConjunctEstimate(const PlanConjunct& conjunct,
-                        const CardinalityEstimator& estimator,
-                        const PresetMap& presets, const VarCols& bound) {
-  double total = 0;
-  for (const AtomAlt& alt : conjunct.alts) {
-    total += AltEstimate(alt, conjunct.source, estimator, presets, bound);
-  }
-  return total;
-}
-
-// Fewest positions an alternative of this conjunct leaves unbound — the
-// bound-first ranking signal of the degraded path.
-size_t MinUnboundPositions(const PlanConjunct& conjunct,
-                           const PresetMap& presets, const VarCols& bound) {
-  size_t best = std::numeric_limits<size_t>::max();
-  for (const AtomAlt& alt : conjunct.alts) {
-    size_t unbound = 0;
-    for (const AtomTerm& term : alt.terms) {
-      // kAny carries no constraint; kConst and kRange positions are
-      // constrained by the pattern itself and never count as unbound.
-      if (term.kind == AtomTerm::Kind::kVar && presets.count(term.var) == 0 &&
-          bound.count(term.var) == 0) {
-        ++unbound;
-      }
+// Positions the conjunct leaves unbound — the bound-first ranking signal
+// of the degraded path.
+size_t UnboundPositions(const PlanConjunct& conjunct, const PresetMap& presets,
+                        const VarCols& bound) {
+  size_t unbound = 0;
+  for (const AtomTerm& term : conjunct.terms) {
+    // kConst and kRange positions are constrained by the pattern itself
+    // and never count as unbound.
+    if (term.kind == AtomTerm::Kind::kVar && presets.count(term.var) == 0 &&
+        bound.count(term.var) == 0) {
+      ++unbound;
     }
-    best = std::min(best, unbound);
   }
-  return best;
+  return unbound;
 }
 
-// Lowers one conjunct into the alts of a scan or bound-loop node.
+// Lowers one conjunct into the scan pattern of a scan or bound-loop node.
 // `base_col` is the first output column this node may assign (0 for a leaf
 // scan or a hash-join build side, the input width for a bound loop);
 // `var_col` maps upstream-bound variables (inputs for a bound loop; empty
 // for leaves). Newly bound variables are appended to `produced` in
-// deterministic first-appearance order. `extra_presets` materializes
-// preset variables as constant columns (only used on the plan's first
-// node, for projected presets).
+// first-appearance order. `extra_presets` materializes preset variables as
+// constant columns (only used on the plan's first node, for projected
+// presets).
 struct LoweredConjunct {
-  std::vector<ScanAlt> alts;
+  ScanPattern scan;
   std::vector<std::pair<uint32_t, ColId>> produced;  // var → new column
 };
 
 LoweredConjunct LowerConjunct(
     const PlanConjunct& conjunct, ColId base_col, const VarCols& var_col,
-    const PresetMap& presets, bool allow_inputs,
+    const PresetMap& presets,
     const std::vector<std::pair<uint32_t, Value>>& extra_presets) {
   LoweredConjunct out;
   VarCols new_cols;
@@ -125,104 +102,30 @@ LoweredConjunct LowerConjunct(
     out.produced.emplace_back(var, col);
     return col;
   };
-  // Pass 1: fix the produced-column layout (shared by every alternative).
-  for (const AtomAlt& alt : conjunct.alts) {
-    for (const AtomTerm& term : alt.terms) {
-      if (term.kind != AtomTerm::Kind::kVar) continue;
-      if (presets.count(term.var) != 0 || var_col.count(term.var) != 0) {
-        continue;
+  out.scan.slots.reserve(conjunct.terms.size());
+  for (const AtomTerm& term : conjunct.terms) {
+    switch (term.kind) {
+      case AtomTerm::Kind::kConst:
+        out.scan.slots.push_back(Slot::Const(term.value));
+        break;
+      case AtomTerm::Kind::kVar: {
+        auto preset = presets.find(term.var);
+        if (preset != presets.end()) {
+          out.scan.slots.push_back(Slot::Const(preset->second));
+        } else if (auto it = var_col.find(term.var); it != var_col.end()) {
+          out.scan.slots.push_back(Slot::Input(it->second));
+        } else {
+          out.scan.slots.push_back(Slot::Output(col_of_new(term.var)));
+        }
+        break;
       }
-      col_of_new(term.var);
-    }
-    for (const auto& [var, value] : alt.var_eq) {
-      (void)value;
-      if (presets.count(var) != 0 || var_col.count(var) != 0) continue;
-      col_of_new(var);
+      case AtomTerm::Kind::kRange:
+        out.scan.slots.push_back(Slot::Range(term.value, term.value2));
+        break;
     }
   }
   for (const auto& [var, value] : extra_presets) {
-    (void)value;
-    col_of_new(var);
-  }
-  // Pass 2: lower each alternative against that layout.
-  for (const AtomAlt& alt : conjunct.alts) {
-    ScanAlt lowered;
-    lowered.slots.reserve(alt.terms.size());
-    bool impossible = false;
-    std::unordered_set<uint32_t> covered;
-    // Variables this alternative grounds via unification: any pattern
-    // position they occupy must scan as that constant (binding the
-    // variable first, then matching — the legacy semantics), not as an
-    // unconstrained output that a preset would silently overwrite.
-    PresetMap eq;
-    for (const auto& [var, value] : alt.var_eq) {
-      if (presets.count(var) != 0 || var_col.count(var) != 0) continue;
-      auto [it, inserted] = eq.emplace(var, value);
-      if (!inserted && it->second != value) impossible = true;
-    }
-    for (const AtomTerm& term : alt.terms) {
-      switch (term.kind) {
-        case AtomTerm::Kind::kConst:
-          lowered.slots.push_back(Slot::Const(term.value));
-          break;
-        case AtomTerm::Kind::kVar: {
-          auto preset = presets.find(term.var);
-          if (preset != presets.end()) {
-            lowered.slots.push_back(Slot::Const(preset->second));
-          } else if (auto it = var_col.find(term.var); it != var_col.end()) {
-            lowered.slots.push_back(Slot::Input(it->second));
-          } else if (auto eqit = eq.find(term.var); eqit != eq.end()) {
-            lowered.slots.push_back(Slot::Const(eqit->second));
-          } else {
-            lowered.slots.push_back(Slot::Output(new_cols.at(term.var)));
-            covered.insert(term.var);
-          }
-          break;
-        }
-        case AtomTerm::Kind::kRange:
-          lowered.slots.push_back(Slot::Range(term.value, term.value2));
-          break;
-        case AtomTerm::Kind::kAny:
-          lowered.slots.push_back(Slot::Any());
-          break;
-      }
-    }
-    for (const auto& [var, value] : alt.var_eq) {
-      auto preset = presets.find(var);
-      if (preset != presets.end()) {
-        // Both sides constant: decidable now.
-        if (preset->second != value) impossible = true;
-        continue;
-      }
-      if (auto it = var_col.find(var); it != var_col.end()) {
-        if (!allow_inputs) {
-          impossible = true;  // leaf cannot check an upstream column
-          continue;
-        }
-        lowered.checks.emplace_back(it->second, value);
-        continue;
-      }
-      if (covered.insert(var).second) {
-        lowered.presets.emplace_back(new_cols.at(var), value);
-      }
-    }
-    if (impossible) continue;
-    // A produced column this alternative neither scans nor grounds stays
-    // null, matching the legacy unbound-variable behaviour.
-    for (const auto& [var, col] : out.produced) {
-      if (covered.count(var) != 0) continue;
-      bool in_extra = false;
-      for (const auto& [pvar, pvalue] : extra_presets) {
-        (void)pvalue;
-        if (pvar == var) in_extra = true;
-      }
-      if (in_extra) continue;
-      lowered.presets.emplace_back(col, 0);
-    }
-    for (const auto& [var, value] : extra_presets) {
-      lowered.presets.emplace_back(new_cols.at(var), value);
-    }
-    out.alts.push_back(std::move(lowered));
+    out.scan.presets.emplace_back(col_of_new(var), value);
   }
   return out;
 }
@@ -300,11 +203,7 @@ CompiledPlan PlanConjunctive(const ConjunctiveSpec& spec,
       double best_out = 0;
       for (size_t i = 0; i < n; ++i) {
         if (placed[i]) continue;
-        const auto vars = ConjunctVars(spec.conjuncts[i]);
-        bool connected = false;
-        for (uint32_t v : vars) {
-          if (var_col.count(v) != 0) connected = true;
-        }
+        const bool connected = Connected(spec.conjuncts[i], var_col);
         const double probe = connected
                                  ? ConjunctEstimate(spec.conjuncts[i],
                                                     estimator, presets, var_col)
@@ -329,13 +228,9 @@ CompiledPlan PlanConjunctive(const ConjunctiveSpec& spec,
       double best_solo = 0;
       for (size_t i = 0; i < n; ++i) {
         if (placed[i]) continue;
-        const auto vars = ConjunctVars(spec.conjuncts[i]);
-        bool connected = false;
-        for (uint32_t v : vars) {
-          if (var_col.count(v) != 0) connected = true;
-        }
+        const bool connected = Connected(spec.conjuncts[i], var_col);
         const size_t unbound =
-            MinUnboundPositions(spec.conjuncts[i], presets, var_col);
+            UnboundPositions(spec.conjuncts[i], presets, var_col);
         const bool better =
             pick == n || (connected && !pick_connected) ||
             (connected == pick_connected &&
@@ -355,11 +250,10 @@ CompiledPlan PlanConjunctive(const ConjunctiveSpec& spec,
     // --- Build the operator. -------------------------------------------
     if (root == nullptr) {
       LoweredConjunct lowered =
-          LowerConjunct(conjunct, 0, {}, presets, /*allow_inputs=*/false,
-                        projected_presets);
+          LowerConjunct(conjunct, 0, {}, presets, projected_presets);
       auto node = std::make_unique<PlanNode>(OpKind::kIndexScan);
       node->source = conjunct.source;
-      node->alts = std::move(lowered.alts);
+      node->scan = std::move(lowered.scan);
       node->width = static_cast<uint32_t>(lowered.produced.size());
       node->est_rows = solo[pick];
       node->label = conjunct.label;
@@ -371,8 +265,7 @@ CompiledPlan PlanConjunctive(const ConjunctiveSpec& spec,
 
     const uint32_t in_width = root->width;
     // Hash join when the one-off build of the right side is cheaper than
-    // an index seek per outer row. Requires at least one equality key and
-    // a single alternative-compatible build scan (always expressible).
+    // an index seek per outer row. Requires at least one equality key.
     bool use_hash = false;
     if (options.cost_based && options.hash_joins && pick_connected) {
       const double bnl_cost =
@@ -385,11 +278,10 @@ CompiledPlan PlanConjunctive(const ConjunctiveSpec& spec,
     if (use_hash) {
       // Build side: an independent leaf scan of the conjunct; shared
       // variables become build columns paired with their probe columns.
-      LoweredConjunct lowered =
-          LowerConjunct(conjunct, 0, {}, presets, /*allow_inputs=*/false, {});
+      LoweredConjunct lowered = LowerConjunct(conjunct, 0, {}, presets, {});
       auto build = std::make_unique<PlanNode>(OpKind::kIndexScan);
       build->source = conjunct.source;
-      build->alts = std::move(lowered.alts);
+      build->scan = std::move(lowered.scan);
       build->width = static_cast<uint32_t>(lowered.produced.size());
       build->est_rows = solo[pick];
       build->label = conjunct.label;
@@ -404,8 +296,9 @@ CompiledPlan PlanConjunctive(const ConjunctiveSpec& spec,
         }
       }
       if (join->keys.empty()) {
-        // No shared column surfaced (can happen when sharing is only via
-        // var_eq constants): fall back to a bound loop below.
+        // No shared column surfaced (the only shared variable is a
+        // projected preset, which scans as a constant): fall back to a
+        // bound loop below.
         use_hash = false;
       } else {
         ColId out_col = in_width;
@@ -423,11 +316,11 @@ CompiledPlan PlanConjunctive(const ConjunctiveSpec& spec,
       }
     }
     if (!use_hash) {
-      LoweredConjunct lowered = LowerConjunct(
-          conjunct, in_width, var_col, presets, /*allow_inputs=*/true, {});
+      LoweredConjunct lowered =
+          LowerConjunct(conjunct, in_width, var_col, presets, {});
       auto node = std::make_unique<PlanNode>(OpKind::kBoundNestedLoopJoin);
       node->source = conjunct.source;
-      node->alts = std::move(lowered.alts);
+      node->scan = std::move(lowered.scan);
       node->width = in_width + static_cast<uint32_t>(lowered.produced.size());
       node->est_rows =
           options.cost_based && pick_probe >= 0 ? current_est * pick_probe : -1;

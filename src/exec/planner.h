@@ -1,12 +1,11 @@
-// Cost-based planner over conjunctive specs. Clients (BGP evaluation,
-// Datalog rule bodies, backward chaining) describe a conjunction of atoms
-// — each a disjunction of alternatives over some TupleSource — and get
-// back a physical plan: join order chosen greedily by estimated output
-// cardinality, join algorithm chosen per step (hash join when building the
-// right side once beats re-seeking the index per outer row, bound-first
-// index lookup otherwise). When statistics are missing or stale the
-// planner degrades to the legacy greedy bound-first order with nested
-// loops only.
+// Cost-based planner over conjunctive specs. Its client, BGP evaluation
+// in query::Evaluator, describes a conjunction of atoms, each one pattern
+// over some TupleSource, and gets back a physical plan: join order chosen
+// greedily by estimated output cardinality, join algorithm chosen per step
+// (hash join when building the right side once beats re-seeking the index
+// per outer row, bound-first index lookup otherwise). When statistics are
+// missing or stale the planner degrades to the legacy greedy bound-first
+// order with nested loops only.
 #ifndef WDR_EXEC_PLANNER_H_
 #define WDR_EXEC_PLANNER_H_
 
@@ -24,35 +23,26 @@
 namespace wdr::exec {
 
 // Planning-time atom position: a constant, a variable (identified by an
-// arbitrary caller-chosen key), an ignored position, or an inclusive id
-// range (hierarchy-encoded reformulation; range positions bind nothing).
+// arbitrary caller-chosen key), or an inclusive id range (hierarchy-encoded
+// reformulation; range positions bind nothing).
 struct AtomTerm {
-  enum class Kind : uint8_t { kConst, kVar, kAny, kRange };
-  Kind kind = Kind::kAny;
+  enum class Kind : uint8_t { kConst, kVar, kRange };
+  Kind kind = Kind::kConst;
   Value value = 0;
   Value value2 = 0;  // kRange upper bound (inclusive)
   uint32_t var = 0;
 
   static AtomTerm Const(Value v) { return {Kind::kConst, v, 0, 0}; }
   static AtomTerm Var(uint32_t v) { return {Kind::kVar, 0, 0, v}; }
-  static AtomTerm Any() { return {Kind::kAny, 0, 0, 0}; }
   static AtomTerm Range(Value lo, Value hi) {
     return {Kind::kRange, lo, hi, 0};
   }
 };
 
-// One way a conjunct can match. `var_eq` lists variables this alternative
-// grounds to a constant without a pattern position (backward chaining:
-// rule unification can bind a query variable away).
-struct AtomAlt {
-  std::vector<AtomTerm> terms;
-  std::vector<std::pair<uint32_t, Value>> var_eq;
-};
-
 struct PlanConjunct {
-  size_t source = 0;          // TupleSource index at execution time
-  std::vector<AtomAlt> alts;  // >= 1; cardinalities sum across alternatives
-  std::string label;          // operator label, e.g. "scan(?x type C)"
+  size_t source = 0;            // TupleSource index at execution time
+  std::vector<AtomTerm> terms;  // one per source column
+  std::string label;            // operator label, e.g. "scan(?x type C)"
 };
 
 struct ConjunctiveSpec {

@@ -1,8 +1,8 @@
 // TupleSource: the seam between physical-plan operators and concrete
-// relations. The executor only ever asks a source to (a) estimate how many
-// tuples match a partially-bound pattern and (b) stream those tuples.
-// StoreSource adapts anything triple-store-shaped (rdf::StoreView,
-// rdf::UnionStore); the Datalog layer provides a RelationSource of its own.
+// relations. The executor only ever asks a source to stream the tuples
+// that match a partially-bound pattern; cardinality estimates come from
+// the planner's CardinalityEstimator instead. query::Evaluator's
+// CachedStoreSource adapts a triple store (routed through its ScanCache).
 #ifndef WDR_EXEC_SOURCE_H_
 #define WDR_EXEC_SOURCE_H_
 
@@ -47,12 +47,11 @@ class FunctionRef<R(Args...)> {
 
 // A relation of fixed arity the executor can scan with some columns bound.
 // `values`/`bound` are arrays of length arity(); bound[i] != 0 means column
-// i must equal values[i] (this is an explicit mask, NOT a 0-sentinel:
-// Datalog symbol 0 is a legal constant).
+// i must equal values[i] (an explicit mask, not a 0-sentinel).
 class TupleSource {
  public:
-  // Codes of the `bound` mask. Plain Scan/EstimateBound only see kUnbound
-  // and kPoint; the *Range entry points add kRange, meaning column i must
+  // Codes of the `bound` mask. Plain Scan only sees kUnbound and kPoint;
+  // ScanRange adds kRange, meaning column i must
   // lie in the inclusive interval [values[i], values_hi[i]] (hierarchy-
   // encoded reformulation compiles subclass closures into such columns).
   static constexpr uint8_t kUnbound = 0;
@@ -63,30 +62,15 @@ class TupleSource {
 
   virtual size_t arity() const = 0;
 
-  // Estimated number of matching tuples, for run-time fallback decisions
-  // and dedup-set pre-reservation.
-  virtual double EstimateBound(const Value* values,
-                               const uint8_t* bound) const = 0;
-
   // Streams every matching tuple to `fn` (argument: arity() values). Stops
   // early when fn returns false; returns false iff it stopped early.
   virtual bool Scan(const Value* values, const uint8_t* bound,
                     FunctionRef<bool(const Value*)> fn) const = 0;
 
-  // Range-aware variants; `bound` may additionally contain kRange. The
-  // defaults treat range columns as unbound (estimate) or post-filter them
-  // (scan), so sources that cannot seek ranges stay correct; stores with
-  // ordered indexes override to push the interval into the scan window.
-  virtual double EstimateRange(const Value* values, const Value* values_hi,
-                               const uint8_t* bound) const {
-    (void)values_hi;
-    std::vector<uint8_t> relaxed(bound, bound + arity());
-    for (uint8_t& b : relaxed) {
-      if (b == kRange) b = kUnbound;
-    }
-    return EstimateBound(values, relaxed.data());
-  }
-
+  // Range-aware variant; `bound` may additionally contain kRange. The
+  // default post-filters range columns, so sources that cannot seek ranges
+  // stay correct; stores with ordered indexes override to push the
+  // interval into the scan window.
   virtual bool ScanRange(const Value* values, const Value* values_hi,
                          const uint8_t* bound,
                          FunctionRef<bool(const Value*)> fn) const {
@@ -110,74 +94,6 @@ class TupleSource {
       return fn(tuple);
     });
   }
-};
-
-// Adapter over any triple-store-shaped type exposing
-// EstimateCount(s, p, o) and Match(s, p, o, fn) with kNullTermId (0) as
-// the wildcard — rdf::StoreView and rdf::UnionStore both qualify.
-template <typename Store>
-class StoreSource final : public TupleSource {
- public:
-  explicit StoreSource(const Store& store) : store_(&store) {}
-
-  size_t arity() const override { return 3; }
-
-  double EstimateBound(const Value* values,
-                       const uint8_t* bound) const override {
-    return static_cast<double>(store_->EstimateCount(bound[0] ? values[0] : 0,
-                                                     bound[1] ? values[1] : 0,
-                                                     bound[2] ? values[2] : 0));
-  }
-
-  bool Scan(const Value* values, const uint8_t* bound,
-            FunctionRef<bool(const Value*)> fn) const override {
-    bool keep = true;
-    store_->Match(bound[0] ? values[0] : 0, bound[1] ? values[1] : 0,
-                  bound[2] ? values[2] : 0, [&](const auto& t) {
-                    Value row[3] = {t.s, t.p, t.o};
-                    keep = fn(row);
-                    return keep;
-                  });
-    return keep;
-  }
-
-  // Range pushdown: the store seeks the interval as one contiguous index
-  // window instead of post-filtering a full-position scan.
-  double EstimateRange(const Value* values, const Value* values_hi,
-                       const uint8_t* bound) const override {
-    return static_cast<double>(store_->EstimateCountRange(
-        MakePlan(values, values_hi, bound)));
-  }
-
-  bool ScanRange(const Value* values, const Value* values_hi,
-                 const uint8_t* bound,
-                 FunctionRef<bool(const Value*)> fn) const override {
-    bool keep = true;
-    store_->MatchPlan(MakePlan(values, values_hi, bound), [&](const auto& t) {
-      Value row[3] = {t.s, t.p, t.o};
-      keep = fn(row);
-      return keep;
-    });
-    return keep;
-  }
-
- private:
-  static auto MakePlan(const Value* values, const Value* values_hi,
-                       const uint8_t* bound) {
-    auto range = [&](size_t i) {
-      typename Store::Range r{};  // default: unconstrained
-      if (bound[i] == kPoint) {
-        r.lo = r.hi = values[i];
-      } else if (bound[i] == kRange) {
-        r.lo = values[i];
-        r.hi = values_hi[i];
-      }
-      return r;
-    };
-    return Store::MakeRangePlan(range(0), range(1), range(2));
-  }
-
-  const Store* store_;  // not owned
 };
 
 }  // namespace wdr::exec

@@ -530,9 +530,8 @@ void FillAtomProfile(obs::ProfileNode& parent, const BgpQuery& q,
 // TupleSource over a triple-store-shaped Store, routed through the union
 // evaluation's ScanCache when one is attached: resolved (s,p,o) scans are
 // replayed from the memoized flat vectors exactly as the legacy join's
-// Match does (same keys, same eager/lazy split, same oversized markers),
-// and cardinality estimates reuse the memo. One instance serves one
-// executor.
+// Match does (same keys, same eager/lazy split, same oversized markers).
+// One instance serves one executor.
 template <typename Store>
 class CachedStoreSource final : public exec::TupleSource {
  public:
@@ -540,22 +539,6 @@ class CachedStoreSource final : public exec::TupleSource {
       : store_(&store), cache_(cache), eager_(eager) {}
 
   size_t arity() const override { return 3; }
-
-  double EstimateBound(const exec::Value* values,
-                       const uint8_t* bound) const override {
-    const TermId s = bound[0] ? values[0] : kNullTermId;
-    const TermId p = bound[1] ? values[1] : kNullTermId;
-    const TermId o = bound[2] ? values[2] : kNullTermId;
-    if (cache_ == nullptr || (s | p | o) == 0) {
-      return static_cast<double>(store_->EstimateCount(s, p, o));
-    }
-    const Triple key(s, p, o);
-    size_t count = 0;
-    if (cache_->FindEstimate(key, &count)) return static_cast<double>(count);
-    count = store_->EstimateCount(s, p, o);
-    cache_->InsertEstimate(key, count);
-    return static_cast<double>(count);
-  }
 
   bool Scan(const exec::Value* values, const uint8_t* bound,
             exec::FunctionRef<bool(const exec::Value*)> fn) const override {
@@ -631,12 +614,6 @@ class CachedStoreSource final : public exec::TupleSource {
 
   // Range scans bypass the ScanCache entirely (its Triple keys cannot
   // carry interval bounds) and go straight to the store's range window.
-  double EstimateRange(const exec::Value* values, const exec::Value* values_hi,
-                       const uint8_t* bound) const override {
-    return static_cast<double>(
-        store_->EstimateCountRange(RangePlan(values, values_hi, bound)));
-  }
-
   bool ScanRange(const exec::Value* values, const exec::Value* values_hi,
                  const uint8_t* bound,
                  exec::FunctionRef<bool(const exec::Value*)> fn)
@@ -685,9 +662,7 @@ exec::ConjunctiveSpec SpecFromBgp(const BgpQuery& q,
   for (const TriplePattern& atom : q.atoms()) {
     exec::PlanConjunct conjunct;
     conjunct.source = 0;
-    exec::AtomAlt alt;
-    alt.terms = {term(atom.s), term(atom.p), term(atom.o)};
-    conjunct.alts.push_back(std::move(alt));
+    conjunct.terms = {term(atom.s), term(atom.p), term(atom.o)};
     conjunct.label = AtomLabel(q, dict, atom);
     spec.conjuncts.push_back(std::move(conjunct));
   }

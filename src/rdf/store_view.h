@@ -256,8 +256,8 @@ bool ParseStorageBackend(std::string_view name, StorageBackend* backend);
 // mutates only the unpublished one.
 class StoreView {
  public:
-  // Dependent names generic adapters (exec::StoreSource) use to push range
-  // constraints down without naming rdf types.
+  // Dependent names generic adapters (exec::StoreEstimator) use to push
+  // range constraints down without naming rdf types.
   using Range = TermRange;
   static ScanPlan MakeRangePlan(const TermRange& s, const TermRange& p,
                                 const TermRange& o) {

@@ -71,6 +71,10 @@ bool EncodingModeDefault() {
   return value;
 }
 
+bool ModePlans(ReasoningMode mode) {
+  return mode != ReasoningMode::kBackward && mode != ReasoningMode::kDatalog;
+}
+
 const char* ReasoningModeName(ReasoningMode mode) {
   switch (mode) {
     case ReasoningMode::kNone:
@@ -503,13 +507,15 @@ void ReasoningStore::Warm() {
   if (options_.encoding) CachedEncoding();
   CachedSchema();
   // Statistics only for the default read path: kAuto's est_rows probe
-  // reads the base flavour, the planner the queried store's. A read that
-  // needs another flavour builds it in CachedStats on first use.
+  // reads the base flavour, a planning route the queried store's. A read
+  // that needs another flavour builds it in CachedStats on first use.
   const bool auto_mode = options_.mode == ReasoningMode::kAuto;
   const bool over_closure =
       auto_mode || options_.mode == ReasoningMode::kSaturation;
   if (auto_mode) CachedStats(/*over_closure=*/false);
-  if (options_.query.plan) CachedStats(over_closure);
+  if (options_.query.plan && ModePlans(options_.mode)) {
+    CachedStats(over_closure);
+  }
   CachedReformulator();
   // The plain flavor only differs when the encoding is on (it IS the
   // plain one otherwise).
@@ -552,7 +558,7 @@ Result<PreparedQuery> ReasoningStore::PrepareInternal(
 
   query::EvaluatorOptions eval = options_.query;
   eval.dict = &graph_.dict();
-  eval.plan = ropts.plan.value_or(eval.plan);
+  eval.plan = ropts.plan.value_or(eval.plan) && ModePlans(prepared.mode);
   eval.cancel = ropts.cancel;
   eval.deadline_nanos = ropts.deadline_nanos;
 
@@ -639,6 +645,11 @@ Result<PreparedQuery> ReasoningStore::PrepareInternal(
     }
   }
 
+  if (!ModePlans(prepared.mode)) {
+    // Auto routing picked backward chaining or Datalog.
+    eval.plan = false;
+    record->plan = false;
+  }
   if (eval.plan && eval.stats == nullptr) {
     // Hand the planner cached statistics so it never pays the O(store)
     // build per query and never degrades on a fresh store. The flavor
@@ -730,13 +741,8 @@ Result<query::ResultSet> ReasoningStore::ExecuteInternal(
         return evaluator.Evaluate(prepared.query, profile);
       }
       case ReasoningMode::kBackward: {
-        backward::BackwardOptions boptions;
-        boptions.plan = eval_options.plan;
-        boptions.hash_joins = eval_options.hash_joins;
-        boptions.batch_rows = eval_options.batch_rows;
-        boptions.stats = eval_options.stats;
         backward::BackwardChainingEvaluator evaluator(
-            graph_.store(), *prepared.schema, vocab_, boptions);
+            graph_.store(), *prepared.schema, vocab_);
         if (profile == nullptr) return evaluator.Evaluate(prepared.query);
         backward::BackwardStats stats;
         double seconds = 0;

@@ -55,6 +55,11 @@ enum class ReasoningMode {
 
 const char* ReasoningModeName(ReasoningMode mode);
 
+// Whether a read in `mode` can compile through the wdr::exec planner when
+// plan mode is on. Backward chaining and Datalog run their own joins and
+// read no planner statistics; kAuto is undecided until Prepare routes it.
+bool ModePlans(ReasoningMode mode);
+
 // Process-wide default for the hierarchy-aware encoding toggle: true iff
 // the environment variable WDR_ENCODING is exactly "1" (mirroring
 // exec::PlanModeDefault / WDR_PLAN, so the whole test suite can be flipped
@@ -296,14 +301,16 @@ class ReasoningStore {
   // rebuilding the closure in saturation mode). No-op if unchanged.
   void SetBackend(rdf::StorageBackend backend);
 
-  // Toggles plan-based evaluation: queries (and, in kBackward mode, the
-  // chaining join) compile into the shared wdr::exec physical-plan IR with
-  // cost-based join order and hash joins. The store lazily builds and
-  // caches per-predicate statistics over the queried store (base graph, or
-  // the closure in kSaturation mode) and invalidates them on every update,
-  // load, mode switch, and backend switch — so the planner always sees
-  // fresh statistics and never takes the degraded path. Answers are
-  // identical either way.
+  // Toggles plan-based evaluation: BGP and UCQ reads (the kNone,
+  // kSaturation and kReformulation routes) compile into the shared
+  // wdr::exec physical-plan IR with cost-based join order and hash joins.
+  // Backward chaining and Datalog always run their own joins and ignore
+  // the toggle; their query-log records say plan=false. The store lazily
+  // builds and caches per-predicate statistics over the queried store
+  // (base graph, or the closure in kSaturation mode), only for routes that
+  // plan, and invalidates them on every update, load, mode switch, and
+  // backend switch — so the planner always sees fresh statistics and never
+  // takes the degraded path. Answers are identical either way.
   void SetPlanMode(bool on) { options_.query.plan = on; }
   bool plan_mode() const { return options_.query.plan; }
 

@@ -2,10 +2,9 @@
 // workload instance (random graph + random queries), and every reasoning
 // route the library offers must produce identical answers on it —
 //
-//   {saturation, reformulation, hierarchy-encoded reformulation (LiteMat range atoms over a
-//    re-encoded graph snapshot), backward chaining (legacy and
-//    physical-plan), Datalog (legacy and physical-plan bodies),
-//    Datalog + magic sets}
+//   {saturation, reformulation, hierarchy-encoded reformulation (LiteMat
+//    range atoms over a re-encoded graph snapshot), backward chaining,
+//    Datalog, Datalog + magic sets}
 //     × {ordered, flat} storage backends
 //
 // plus closure-level equality between the saturator and the Datalog
@@ -13,8 +12,10 @@
 // and off, plus a physical-plan section locking plan-based UCQ
 // evaluation to the legacy join: answer sets always match, and within one
 // plan shape (hash joins on or off) the row stream is bit-identical
-// across batch sizes {1, 1024} and external vs locally-built statistics. Failures always name the seed, so any
-// mismatch is reproducible with WDR_SEED=<seed>.
+// across batch sizes {1, 1024} and external vs locally-built statistics.
+// Only BGP/UCQ evaluation has a plan route; backward chaining and Datalog
+// each run one join, which WDR_PLAN does not reach. Failures always name
+// the seed, so any mismatch is reproducible with WDR_SEED=<seed>.
 #ifndef WDR_TESTS_DIFFERENTIAL_UTIL_H_
 #define WDR_TESTS_DIFFERENTIAL_UTIL_H_
 
@@ -212,16 +213,9 @@ inline ::testing::AssertionResult RunDifferentialInstance(
     reformulation::Reformulator reformulator(schema, rg.vocab);
     backward::BackwardChainingEvaluator backward_eval(graph.store(), schema,
                                                       rg.vocab);
-    // Physical-plan routes: fresh statistics (the store does not change
-    // below), plan-mode backward chaining, and plan-compiled Datalog
-    // query bodies.
+    // Fresh statistics for the plan-based UCQ section (the store does not
+    // change below).
     const exec::Statistics plan_stats = exec::Statistics::Build(graph.store());
-    backward::BackwardOptions backward_plan_options;
-    backward_plan_options.plan = true;
-    backward_plan_options.stats = &plan_stats;
-    backward::BackwardChainingEvaluator backward_plan_eval(
-        graph.store(), schema, rg.vocab, backward_plan_options);
-    const datalog::BodyPlanOptions datalog_plan_options;
     // Hierarchy-encoded reformulation route: a snapshot of the graph is
     // re-encoded into interval id space; each query is remapped through
     // the permutation, reformulated with the union collapse (range atoms
@@ -353,10 +347,6 @@ inline ::testing::AssertionResult RunDifferentialInstance(
       if (Rows(rg.graph, backward_eval.Evaluate(q)) != expected) {
         return fail(label + ": backward chaining differs from saturation");
       }
-      if (Rows(rg.graph, backward_plan_eval.Evaluate(q)) != expected) {
-        return fail(label +
-                    ": plan-based backward chaining differs from saturation");
-      }
 
       Result<query::ResultSet> via_dl = datalog::AnswerViaDatalog(xlat, *db, q);
       if (!via_dl.ok()) {
@@ -365,16 +355,6 @@ inline ::testing::AssertionResult RunDifferentialInstance(
       }
       if (Rows(rg.graph, *via_dl) != expected) {
         return fail(label + ": Datalog differs from saturation");
-      }
-
-      Result<query::ResultSet> via_dl_plan =
-          datalog::AnswerViaDatalog(xlat, *db, q, &datalog_plan_options);
-      if (!via_dl_plan.ok()) {
-        return fail(label + ": plan-based Datalog answering failed: " +
-                    via_dl_plan.status().ToString());
-      }
-      if (Rows(rg.graph, *via_dl_plan) != expected) {
-        return fail(label + ": plan-based Datalog differs from saturation");
       }
 
       Result<query::ResultSet> via_magic = AnswerViaMagic(xlat, q);

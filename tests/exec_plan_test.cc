@@ -12,9 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "backward/backward_evaluator.h"
 #include "common/rng.h"
-#include "datalog/rdf_datalog.h"
 #include "exec/executor.h"
 #include "exec/plan.h"
 #include "exec/planner.h"
@@ -22,14 +20,11 @@
 #include "exec/statistics.h"
 #include "query/evaluator.h"
 #include "rdf/graph.h"
-#include "reformulation/reformulator.h"
-#include "schema/schema.h"
 #include "tests/test_util.h"
 
 namespace wdr {
 namespace {
 
-using exec::AtomAlt;
 using exec::AtomTerm;
 using exec::Batch;
 using exec::ColId;
@@ -40,7 +35,6 @@ using exec::OpKind;
 using exec::PlanConjunct;
 using exec::PlanNode;
 using exec::PlannerOptions;
-using exec::ScanAlt;
 using exec::Slot;
 using exec::Value;
 
@@ -51,15 +45,6 @@ class VectorSource final : public exec::TupleSource {
       : arity_(arity), rows_(std::move(rows)) {}
 
   size_t arity() const override { return arity_; }
-
-  double EstimateBound(const Value* values,
-                       const uint8_t* bound) const override {
-    double n = 0;
-    for (const auto& row : rows_) {
-      if (Matches(row, values, bound)) ++n;
-    }
-    return n;
-  }
 
   bool Scan(const Value* values, const uint8_t* bound,
             exec::FunctionRef<bool(const Value*)> fn) const override {
@@ -75,7 +60,11 @@ class VectorSource final : public exec::TupleSource {
   size_t EstimateCount(Value s, Value p, Value o) const {
     Value vals[3] = {s, p, o};
     uint8_t bound[3] = {s != 0, p != 0, o != 0};
-    return static_cast<size_t>(EstimateBound(vals, bound));
+    size_t n = 0;
+    for (const auto& row : rows_) {
+      if (Matches(row, vals, bound)) ++n;
+    }
+    return n;
   }
 
  private:
@@ -111,11 +100,9 @@ std::unique_ptr<PlanNode> ScanAll(size_t source, size_t arity) {
   auto scan = std::make_unique<PlanNode>(OpKind::kIndexScan);
   scan->source = source;
   scan->width = static_cast<uint32_t>(arity);
-  ScanAlt alt;
   for (size_t i = 0; i < arity; ++i) {
-    alt.slots.push_back(Slot::Output(static_cast<ColId>(i)));
+    scan->scan.slots.push_back(Slot::Output(static_cast<ColId>(i)));
   }
-  scan->alts.push_back(std::move(alt));
   return scan;
 }
 
@@ -257,24 +244,6 @@ TEST(ExecOperatorTest, UnionConcatenatesChildrenInOrder) {
   EXPECT_EQ(rows[2], (std::vector<Value>{3}));
 }
 
-TEST(ExecOperatorTest, BoundLoopChecksRejectNonMatchingInputRows) {
-  // Alternative applies only when the input column equals 1; other input
-  // rows must produce nothing rather than scan unfiltered.
-  VectorSource outer(1, {{1}, {2}});
-  VectorSource inner(2, {{1, 10}, {2, 20}});
-  auto loop = std::make_unique<PlanNode>(OpKind::kBoundNestedLoopJoin);
-  loop->children.push_back(ScanAll(0, 1));
-  loop->source = 1;
-  loop->width = 2;
-  ScanAlt alt;
-  alt.slots = {Slot::Input(0), Slot::Output(1)};
-  alt.checks = {{0, 1}};
-  loop->alts.push_back(std::move(alt));
-  auto rows = Collect(*loop, {&outer, &inner}, 1024);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0], (std::vector<Value>{1, 10}));
-}
-
 // ---------------------------------------------------------------------------
 // Planner properties.
 
@@ -283,15 +252,11 @@ ConjunctiveSpec TwoAtomSpec() {
   ConjunctiveSpec spec;
   PlanConjunct c1;
   c1.source = 0;
-  AtomAlt a1;
-  a1.terms = {AtomTerm::Var(0), AtomTerm::Const(1), AtomTerm::Var(1)};
-  c1.alts.push_back(a1);
+  c1.terms = {AtomTerm::Var(0), AtomTerm::Const(1), AtomTerm::Var(1)};
   spec.conjuncts.push_back(c1);
   PlanConjunct c2;
   c2.source = 0;
-  AtomAlt a2;
-  a2.terms = {AtomTerm::Var(1), AtomTerm::Const(1), AtomTerm::Var(2)};
-  c2.alts.push_back(a2);
+  c2.terms = {AtomTerm::Var(1), AtomTerm::Const(1), AtomTerm::Var(2)};
   spec.conjuncts.push_back(c2);
   spec.projection = {0, 1, 2};
   return spec;
@@ -340,8 +305,8 @@ TEST(PlannerTest, CostBasedPlanPicksHashJoinForLargeBothSides) {
   exec::StatisticsEstimator estimator(stats);
 
   ConjunctiveSpec spec = TwoAtomSpec();
-  spec.conjuncts[0].alts[0].terms[1] = AtomTerm::Const(p);
-  spec.conjuncts[1].alts[0].terms[1] = AtomTerm::Const(p);
+  spec.conjuncts[0].terms[1] = AtomTerm::Const(p);
+  spec.conjuncts[1].terms[1] = AtomTerm::Const(p);
   PlannerOptions popts;
   popts.estimator = &estimator;
   CompiledPlan plan = exec::PlanConjunctive(spec, popts);
@@ -475,95 +440,6 @@ TEST(PlanModeTest, PlanConfigurationsAreBitIdenticalToEachOther) {
                                           << batch;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Datalog and backward-chaining plan routes.
-
-TEST(PlanModeTest, DatalogMaterializationMatchesLegacyRoutes) {
-  Rng rng(314);
-  for (int instance = 0; instance < 6; ++instance) {
-    test::RandomGraphConfig config;
-    test::RandomGraph rg = test::MakeRandomGraph(rng, config);
-    auto want = datalog::MaterializeViaDatalog(rg.graph, rg.vocab,
-                                               datalog::Strategy::kSemiNaive);
-    ASSERT_TRUE(want.ok()) << want.status();
-    for (size_t batch : {size_t{1}, size_t{1024}}) {
-      datalog::MaterializeOptions options;
-      options.plan = true;
-      options.plan_options.batch_rows = batch;
-      auto got = datalog::MaterializeViaDatalog(rg.graph, rg.vocab, options);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(got->ToVector(), want->ToVector())
-          << "instance " << instance << " batch " << batch;
-    }
-    // Plan route under the naive strategy reaches the same fixpoint.
-    datalog::MaterializeOptions naive;
-    naive.strategy = datalog::Strategy::kNaive;
-    naive.plan = true;
-    auto got = datalog::MaterializeViaDatalog(rg.graph, rg.vocab, naive);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->ToVector(), want->ToVector()) << "instance " << instance;
-  }
-}
-
-TEST(PlanModeTest, BackwardChainingMatchesLegacyAcrossConfigurations) {
-  Rng rng(2718);
-  for (int instance = 0; instance < 8; ++instance) {
-    test::RandomGraphConfig config;
-    test::RandomGraph rg = test::MakeRandomGraph(rng, config);
-    reformulation::CloseSchema(rg.graph, rg.vocab);
-    schema::Schema schema = schema::Schema::FromGraph(rg.graph, rg.vocab);
-    exec::Statistics stats = exec::Statistics::Build(rg.graph.store());
-    backward::BackwardChainingEvaluator legacy(rg.graph.store(), schema,
-                                               rg.vocab);
-    for (int qi = 0; qi < 5; ++qi) {
-      query::BgpQuery q = test::MakeRandomQuery(rng, rg);
-      query::ResultSet want = legacy.Evaluate(q);
-      auto want_rows = test::Rows(rg.graph, want);
-      for (bool with_stats : {false, true}) {
-        for (bool hash : {false, true}) {
-          backward::BackwardOptions options;
-          options.plan = true;
-          options.hash_joins = hash;
-          options.stats = with_stats ? &stats : nullptr;
-          backward::BackwardChainingEvaluator plan(rg.graph.store(), schema,
-                                                   rg.vocab, options);
-          backward::BackwardStats bstats;
-          query::ResultSet got = plan.Evaluate(q, &bstats);
-          ASSERT_EQ(test::Rows(rg.graph, got), want_rows)
-              << "instance " << instance << " query " << qi << " stats "
-              << with_stats << " hash " << hash;
-          EXPECT_GT(bstats.atom_alternatives, 0u);
-        }
-      }
-    }
-  }
-}
-
-TEST(PlannerTest, VarEqGroundingConstrainsSharedPatternPositions) {
-  // One alternative grounds ?x to 7 via unification while ?x also occupies
-  // the subject position: the scan must require subject == 7, not emit
-  // every subject relabelled as 7.
-  ConjunctiveSpec spec;
-  PlanConjunct c;
-  c.source = 0;
-  AtomAlt alt;
-  alt.terms = {AtomTerm::Var(0), AtomTerm::Const(1), AtomTerm::Any()};
-  alt.var_eq = {{0, 7}};
-  c.alts.push_back(alt);
-  spec.conjuncts.push_back(c);
-  spec.projection = {0};
-  VectorSource triples(3, {{7, 1, 2}, {8, 1, 2}});
-  exec::StoreEstimator<VectorSource> estimator(triples);
-  PlannerOptions popts;
-  popts.estimator = &estimator;
-  popts.cost_based = false;
-  CompiledPlan plan = exec::PlanConjunctive(spec, popts);
-  ASSERT_NE(plan.root, nullptr);
-  auto rows = Collect(*plan.root, {&triples}, 1024);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0], (std::vector<Value>{7}));
 }
 
 }  // namespace

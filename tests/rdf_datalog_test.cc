@@ -1,5 +1,8 @@
 #include "datalog/rdf_datalog.h"
 
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -123,6 +126,64 @@ TEST(RdfDatalogPropertyTest, QueryAnswersMatchSaturatedEvaluation) {
                 test::Rows(rg.graph, via_sat))
           << "seed " << seed << " query " << qi;
     }
+  }
+}
+
+// EvaluateQuery dedups through the shared row table and then sorts. On
+// projections where most rows repeat (the predicate column of a whole
+// closure, a two-hop join projected to its two predicates) its rows must
+// equal a std::set reference, order included.
+TEST(RdfDatalogPropertyTest, EvaluateQueryDedupsHeavyDuplicateProjections) {
+  for (uint64_t seed = 500; seed < 510; ++seed) {
+    Rng rng(seed);
+    test::RandomGraphConfig config;
+    config.individuals = 30;
+    config.instance_triples = 200;
+    test::RandomGraph rg = test::MakeRandomGraph(rng, config);
+    RdfDatalogTranslation xlat = TranslateGraph(rg.graph, rg.vocab);
+    auto db = Materialize(xlat.program, Strategy::kSemiNaive);
+    ASSERT_TRUE(db.ok());
+    const std::vector<Tuple>& triples =
+        db->relation(xlat.triple_pred).tuples();
+    auto atom = [&](DlVarId s, DlVarId p, DlVarId o) {
+      DlAtom a;
+      a.pred = xlat.triple_pred;
+      a.args = {DlTerm::Variable(s), DlTerm::Variable(p), DlTerm::Variable(o)};
+      return a;
+    };
+    auto check = [&](const std::vector<DlAtom>& body,
+                     const std::vector<DlVarId>& projection,
+                     const std::set<Tuple>& want) {
+      auto got = EvaluateQuery(xlat.program, *db, body, projection);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, std::vector<Tuple>(want.begin(), want.end()))
+          << "seed " << seed << " width " << projection.size();
+    };
+
+    // One atom t(?0, ?1, ?2), projected to {?1}, {?2, ?1} and {}.
+    std::set<Tuple> preds, objects_preds, any;
+    for (const Tuple& t : triples) {
+      preds.insert({t[1]});
+      objects_preds.insert({t[2], t[1]});
+      any.insert(Tuple{});
+    }
+    ASSERT_GT(triples.size(), 5 * preds.size()) << "seed " << seed;
+    check({atom(0, 1, 2)}, {1}, preds);
+    check({atom(0, 1, 2)}, {2, 1}, objects_preds);
+    check({atom(0, 1, 2)}, {}, any);
+
+    // Two hops t(?0, ?1, ?2), t(?2, ?3, ?4), projected to {?1, ?3}.
+    std::set<Tuple> hops;
+    size_t joined = 0;
+    for (const Tuple& a : triples) {
+      for (const Tuple& b : triples) {
+        if (a[2] != b[0]) continue;
+        ++joined;
+        hops.insert({a[1], b[1]});
+      }
+    }
+    ASSERT_GT(joined, 2 * hops.size()) << "seed " << seed;
+    check({atom(0, 1, 2), atom(2, 3, 4)}, {1, 3}, hops);
   }
 }
 

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "io/ntriples.h"
 #include "obs/metrics.h"
+#include "obs/query_log.h"
 #include "tests/test_util.h"
 
 namespace wdr::store {
@@ -339,6 +340,36 @@ TEST(ReasoningStoreTest, WarmBuildsStatisticsOnlyForTheDefaultReadPath) {
   EXPECT_EQ(builds.value(), before + 1);
   ASSERT_TRUE(planned.Prepare(kMammalQuery, plan).ok());
   EXPECT_EQ(builds.value(), before + 1);
+}
+
+// Backward chaining and Datalog run their own joins: a plan-on store in
+// either mode builds no planner statistics, and its reads log plan=false.
+TEST(ReasoningStoreTest, NonPlanningRoutesBuildNoStatistics) {
+  const obs::Counter& builds =
+      obs::MetricsRegistry::Get().GetCounter("wdr.store.statistics.builds");
+  for (ReasoningMode mode :
+       {ReasoningMode::kDatalog, ReasoningMode::kBackward}) {
+    ReasoningStoreOptions options;
+    options.mode = mode;
+    options.query.plan = true;
+    options.encoding = false;
+    ReasoningStore store(options);
+    ASSERT_TRUE(store.LoadTurtle(kData).ok());
+    obs::QueryLog::Get().Clear();
+    const uint64_t before = builds.value();
+    ASSERT_TRUE(store
+                    .Update("PREFIX ex: <http://ex.org/>\n"
+                            "INSERT DATA { ex:milo a ex:Cat }")
+                    .ok());
+    store.Warm();
+    EXPECT_EQ(Answers(store, kMammalQuery), 2u) << ReasoningModeName(mode);
+    EXPECT_EQ(builds.value(), before) << ReasoningModeName(mode);
+    const std::vector<obs::QueryLogRecord> records =
+        obs::QueryLog::Get().Records();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].mode, ReasoningModeName(mode));
+    EXPECT_FALSE(records[0].plan) << ReasoningModeName(mode);
+  }
 }
 
 TEST(ReasoningStoreTest, EncodingWorksAcrossBackendsAndModes) {
