@@ -3,13 +3,16 @@
 //
 //   saturation  — forward chaining, queries on the materialized G∞
 //                 (OWLIM / Oracle style)
-//   reformulate — rewrite into a UCQ, evaluate on G (EDBT'13 style)
+//   reformulate — rewrite each atom (EDBT'13 style), evaluate the join of
+//                 the per-atom unions on G, as ReasoningStore does
 //   backward    — run-time per-atom expansion inside the join
 //                 (AllegroGraph RDFS++ / Virtuoso style)
 //   datalog     — translate to Datalog, materialize, query (§II-D [29])
 //
-// Prints per-query evaluation latency for each route plus the one-time
-// costs each route pays, and asserts all four agree on answer counts.
+// Prints per-query evaluation latency for each route (the median of 15
+// repetitions: on a shared host the mean of a few runs moved by half
+// between runs of one binary) plus the one-time costs each route pays, and
+// asserts all four agree on answer counts.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -68,8 +71,8 @@ int main(int argc, char** argv) {
   wdr::backward::BackwardChainingEvaluator backward_eval(data.graph.store(),
                                                          schema, data.vocab);
 
-  constexpr int kReps = 5;
-  std::printf("mean of %d repetitions after 1 warmup run\n", kReps);
+  constexpr int kReps = 15;
+  std::printf("median of %d repetitions after 1 warmup run\n", kReps);
   std::printf("%-4s %9s | %12s %12s %12s %12s\n", "q", "answers",
               "saturation", "reformulate", "backward", "datalog");
   std::printf("%.*s\n", 72,
@@ -88,9 +91,9 @@ int main(int argc, char** argv) {
       n_sat = closure_eval.Evaluate(q).rows.size();
     });
     wdr::bench::RepStats t_ref = wdr::bench::TimeReps(1, kReps, [&] {
-      auto reformulated = reformulator.Reformulate(q);
-      n_ref = reformulated.ok()
-                  ? base_eval.Evaluate(*reformulated).rows.size()
+      auto jucq = reformulator.ReformulateAtoms(q);
+      n_ref = jucq.ok() && jucq->has_value()
+                  ? base_eval.Evaluate(**jucq).rows.size()
                   : 0;
     });
     wdr::bench::RepStats t_bwd = wdr::bench::TimeReps(1, kReps, [&] {
@@ -104,8 +107,8 @@ int main(int argc, char** argv) {
     bool agree = n_sat == n_ref && n_sat == n_bwd && n_sat == n_dl;
     all_agree = all_agree && agree;
     std::printf("%-4s %9zu | %10.0fus %10.0fus %10.0fus %10.0fus%s\n",
-                nq.name.c_str(), n_sat, t_sat.mean_us, t_ref.mean_us,
-                t_bwd.mean_us, t_dl.mean_us, agree ? "" : "  << DISAGREE");
+                nq.name.c_str(), n_sat, t_sat.p50_us, t_ref.p50_us,
+                t_bwd.p50_us, t_dl.p50_us, agree ? "" : "  << DISAGREE");
   }
 
   std::printf("\nall strategies agree on every query: %s\n",

@@ -117,14 +117,10 @@ class Executor {
         return RunBoundLoop(node, stats, sink);
       case OpKind::kHashJoin:
         return RunHashJoin(node, stats, sink);
-      case OpKind::kFilter:
-        return RunFilter(node, stats, sink);
       case OpKind::kProject:
         return RunProject(node, stats, sink);
       case OpKind::kHashDedup:
         return RunDedup(node, stats, sink);
-      case OpKind::kUnion:
-        return RunUnion(node, stats, sink);
       case OpKind::kLimit:
         return RunLimit(node, stats, sink);
     }
@@ -298,37 +294,6 @@ class Executor {
     return keep;
   }
 
-  bool RunFilter(const PlanNode& node, obs::ProfileNode* stats,
-                 const BatchSink& sink) {
-    Batch out(node.width, batch_rows_);
-    bool keep = RunNode(*node.children[0], stats, [&](Batch& in) {
-      for (size_t r = 0; r < in.rows(); ++r) {
-        bool pass = true;
-        for (const FilterPred& pred : node.preds) {
-          const Value lhs = in.at(pred.col, r);
-          const Value rhs =
-              pred.other != kNoColumn ? in.at(pred.other, r) : pred.value;
-          if (lhs != rhs) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) continue;
-        const size_t o = out.rows();
-        for (size_t col = 0; col < node.width; ++col) {
-          out.at(col, o) = in.at(col, r);
-        }
-        out.set_rows(o + 1);
-        if (out.full()) {
-          if (!Flush(out, stats, sink)) return false;
-        }
-      }
-      return true;
-    });
-    if (keep) keep = Flush(out, stats, sink);
-    return keep;
-  }
-
   bool RunProject(const PlanNode& node, obs::ProfileNode* stats,
                   const BatchSink& sink) {
     Batch out(node.width, batch_rows_);
@@ -370,18 +335,6 @@ class Executor {
     });
     if (keep) keep = Flush(out, stats, sink);
     return keep;
-  }
-
-  bool RunUnion(const PlanNode& node, obs::ProfileNode* stats,
-                const BatchSink& sink) {
-    for (const auto& child : node.children) {
-      const bool keep = RunNode(*child, stats, [&](Batch& in) {
-        if (stats != nullptr) stats->rows += in.rows();
-        return sink(in);
-      });
-      if (!keep) return false;
-    }
-    return true;
   }
 
   bool RunLimit(const PlanNode& node, obs::ProfileNode* stats,

@@ -36,14 +36,10 @@ const char* OpKindName(OpKind kind) {
       return "bound_loop";
     case OpKind::kHashJoin:
       return "hash_join";
-    case OpKind::kFilter:
-      return "filter";
     case OpKind::kProject:
       return "project";
     case OpKind::kHashDedup:
       return "dedup";
-    case OpKind::kUnion:
-      return "union";
     case OpKind::kLimit:
       return "limit";
   }

@@ -22,10 +22,8 @@ enum class OpKind : uint8_t {
   kIndexScan,            // leaf: stream a source, emit output columns
   kBoundNestedLoopJoin,  // per input row, probe a source with bound columns
   kHashJoin,             // children = {probe, build}; build side drained first
-  kFilter,               // keep rows passing all predicates
   kProject,              // reorder/drop columns
   kHashDedup,            // keep the first occurrence of each row
-  kUnion,                // concatenate children (identical schemas)
   kLimit,                // skip `offset` rows, pass at most `limit`
 };
 
@@ -68,13 +66,6 @@ struct ScanPattern {
   std::vector<std::pair<ColId, Value>> presets;
 };
 
-// col == other (when other != kNoColumn), else col == value.
-struct FilterPred {
-  ColId col = kNoColumn;
-  ColId other = kNoColumn;
-  Value value = 0;
-};
-
 struct PlanNode {
   OpKind kind;
   uint32_t width = 0;  // output column count
@@ -89,9 +80,6 @@ struct PlanNode {
   // (build key columns are omitted — they duplicate probe columns).
   std::vector<std::pair<ColId, ColId>> keys;
   std::vector<ColId> payload;
-
-  // kFilter.
-  std::vector<FilterPred> preds;
 
   // kProject: output column i reads input column cols[i]; kNoColumn emits
   // the null value 0 (a projected variable the body never binds).

@@ -750,12 +750,16 @@ void ExecutePlannedBranch(const Store& store, const exec::CompiledPlan& plan,
 
 // Publishes the rows one evaluation dropped as duplicates: one counter add
 // per evaluation, never one per row.
+void RecordDuplicates(uint64_t duplicates, const EvaluatorOptions& options) {
+  WDR_COUNTER_ADD("wdr.query.duplicate_rows", duplicates);
+  if (options.collect != nullptr) {
+    options.collect->duplicate_rows += duplicates;
+  }
+}
+
 void RecordDuplicates(const exec::DedupTable& seen,
                       const EvaluatorOptions& options) {
-  WDR_COUNTER_ADD("wdr.query.duplicate_rows", seen.duplicates());
-  if (options.collect != nullptr) {
-    options.collect->duplicate_rows += seen.duplicates();
-  }
+  RecordDuplicates(seen.duplicates(), options);
 }
 
 Row ProjectRow(const BgpQuery& q, const std::vector<TermId>& bindings) {
@@ -851,11 +855,32 @@ ResultSet EvaluateBgp(const Store& store, const BgpQuery& q,
 
 // Distinct rows needed before enumeration may stop: one for ASK,
 // offset + limit when a LIMIT is set, otherwise unbounded.
+size_t MaxRowsNeeded(bool ask, size_t limit, size_t offset) {
+  if (ask) return 1;
+  if (limit == UnionQuery::kNoLimit) return SIZE_MAX;
+  size_t cap = offset + limit;
+  return cap < limit ? SIZE_MAX : cap;  // overflow guard
+}
+
 size_t MaxRowsNeeded(const UnionQuery& q) {
-  if (q.ask()) return 1;
-  if (q.limit() == UnionQuery::kNoLimit) return SIZE_MAX;
-  size_t cap = q.offset() + q.limit();
-  return cap < q.limit() ? SIZE_MAX : cap;  // overflow guard
+  return MaxRowsNeeded(q.ask(), q.limit(), q.offset());
+}
+
+void ApplyModifiers(bool ask, size_t limit, size_t offset, ResultSet& result) {
+  if (ask) {
+    bool any = !result.rows.empty();
+    result.var_names.clear();
+    result.rows.clear();
+    if (any) result.rows.push_back({});
+    return;
+  }
+  if (offset > 0) {
+    size_t drop = std::min(offset, result.rows.size());
+    result.rows.erase(result.rows.begin(), result.rows.begin() + drop);
+  }
+  if (limit != UnionQuery::kNoLimit && result.rows.size() > limit) {
+    result.rows.resize(limit);
+  }
 }
 
 // Detailed per-branch profile children are capped: reformulated unions can
@@ -1017,23 +1042,547 @@ ResultSet EvaluateUnionQuery(const Store& store, const UnionQuery& q,
   return result;
 }
 
+// ---------------------------------------------------------------------------
+// JUCQ evaluation: a reformulated BGP as a join of per-atom unions.
+// ---------------------------------------------------------------------------
+
+// Per-union-atom statistics of one profiled JUCQ join, indexed by written
+// atom position. `nanos` is inclusive, as in AtomStats.
+struct UnionAtomStats {
+  uint64_t scans = 0;    // cursor opens
+  uint64_t triples = 0;  // triples enumerated
+  uint64_t rows = 0;     // distinct bindings passed to the rest of the join
+  uint64_t probes = 0;   // existence probes, set lookups included
+  uint64_t nanos = 0;
+  bool materialized = false;
+};
+
+// Recursive join over the union atoms of one JoinOfUnions. At each step it
+// takes, in this order:
+//   - a dead atom: one whose still-unbound variables are neither projected
+//     nor used by a remaining atom. It only filters, so it is probed for
+//     existence (alternatives in turn, stopping at the first match) and the
+//     join goes on once. Answers are de-duplicated at the end, so the
+//     multiplicity a full enumeration would add is never needed;
+//   - else, an atom sharing a bound variable, the cheapest under the
+//     current bindings (sum of its alternatives' estimates) when several do;
+//   - else, the atom with the smallest union estimate, computed once per
+//     evaluation.
+// A live atom enumerates every alternative and passes each distinct
+// binding of its unbound variables on once, so bindings that several
+// alternatives (or several fresh-variable values) share do not repeat the
+// rest of the join.
+//
+// Ski rental on dead atoms keyed on one bound variable: once the probes'
+// alternatives exceed the union's estimated size, the union is enumerated
+// once into a key set (at most kMaxUnionSetKeys keys; a larger union keeps
+// probing) and later probes are lookups. That costs at most about twice
+// the better of the two strategies, with no tuning constant. The sets live
+// in the join, i.e. one evaluation.
+class UnionAtomJoin {
+ public:
+  // `eager`: the evaluation wants every answer (no ASK or LIMIT), so live
+  // atoms read each scan whole before joining from it.
+  UnionAtomJoin(const StoreView& store, const JoinOfUnions& q, bool greedy,
+                bool eager, CancelProbe* cancel)
+      : store_(store),
+        q_(q),
+        greedy_(greedy),
+        eager_(eager),
+        cancel_(cancel),
+        bindings_(q.var_count(), kNullTermId),
+        projected_(q.var_count(), false),
+        uses_(q.var_count(), 0),
+        state_(q.atoms().size()) {
+    for (const auto& [var, value] : q.written().preset()) {
+      bindings_[var] = value;
+    }
+    for (VarId v : q.written().projection()) projected_[v] = true;
+    for (const UnionAtom& atom : q.atoms()) {
+      for (VarId v : atom.vars) ++uses_[v];
+    }
+  }
+
+  // Runs the join; `emit(bindings)` returns false to stop enumeration.
+  template <typename EmitFn>
+  void Run(EmitFn&& emit) {
+    initial_ = bindings_;
+    remaining_.resize(q_.atoms().size());
+    for (size_t i = 0; i < remaining_.size(); ++i) remaining_[i] = i;
+    Recurse(emit);
+  }
+
+  // Enables per-atom stats; `stats` must have one entry per atom.
+  void set_stats(std::vector<UnionAtomStats>* stats) { stats_ = stats; }
+
+  uint64_t materializations() const { return materializations_; }
+  // Bindings live atoms dropped as already passed on.
+  uint64_t duplicates() const { return duplicates_; }
+
+ private:
+  enum class SetState : uint8_t { kProbing, kMaterialized, kTooLarge };
+  struct AtomState {
+    size_t union_estimate = SIZE_MAX;  // SIZE_MAX = not computed yet
+    uint64_t tried = 0;  // alternatives tried by existence probes
+    SetState set_state = SetState::kProbing;
+    VarId key = 0;  // the set's key variable
+    std::optional<exec::DedupTable> keys;
+    int8_t exists = -1;  // cached probe of an atom with no bound variable
+  };
+
+  template <typename EmitFn>
+  void Recurse(EmitFn&& emit) {
+    if (stopped_) return;
+    if (remaining_.empty()) {
+      if (!emit(bindings_)) stopped_ = true;
+      return;
+    }
+    const size_t pos = PickAtom();
+    const size_t index = remaining_[pos];
+    remaining_.erase(remaining_.begin() + pos);
+    for (VarId v : q_.atoms()[index].vars) --uses_[v];
+    UnionAtomStats* as = stats_ != nullptr ? &(*stats_)[index] : nullptr;
+    const uint64_t start = as != nullptr ? NowNanos() : 0;
+    if (Dead(index, /*pending=*/false)) {
+      Probe(index, as, emit);
+    } else {
+      Expand(index, as, emit);
+    }
+    if (as != nullptr) as->nanos += NowNanos() - start;
+    for (VarId v : q_.atoms()[index].vars) ++uses_[v];
+    remaining_.insert(remaining_.begin() + pos, index);
+  }
+
+  // True when no unbound variable of atom `index` is projected or used by
+  // another remaining atom. `pending`: the atom is still in remaining_ and
+  // so counts once in uses_ itself.
+  bool Dead(size_t index, bool pending) const {
+    const uint32_t self = pending ? 1 : 0;
+    for (VarId v : q_.atoms()[index].vars) {
+      if (bindings_[v] == kNullTermId && (projected_[v] || uses_[v] > self)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  size_t PickAtom() {
+    for (size_t pos = 0; pos < remaining_.size(); ++pos) {
+      if (Dead(remaining_[pos], /*pending=*/true)) return pos;
+    }
+    if (!greedy_ || remaining_.size() == 1) return 0;
+    size_t connected = 0;
+    size_t last_connected = 0;
+    for (size_t pos = 0; pos < remaining_.size(); ++pos) {
+      if (Connected(remaining_[pos])) {
+        ++connected;
+        last_connected = pos;
+      }
+    }
+    if (connected == 1) return last_connected;
+    size_t best_pos = 0;
+    size_t best_cost = SIZE_MAX;
+    for (size_t pos = 0; pos < remaining_.size(); ++pos) {
+      const size_t index = remaining_[pos];
+      if (connected > 0 && !Connected(index)) continue;
+      const size_t cost = connected > 0 ? Estimate(index, bindings_)
+                                        : UnionEstimate(index);
+      if (cost < best_cost || best_cost == SIZE_MAX) {
+        best_cost = cost;
+        best_pos = pos;
+      }
+    }
+    return best_pos;
+  }
+
+  bool Connected(size_t index) const {
+    for (VarId v : q_.atoms()[index].vars) {
+      if (bindings_[v] != kNullTermId) return true;
+    }
+    return false;
+  }
+
+  static bool Compatible(const Presets& presets,
+                         const std::vector<TermId>& bindings) {
+    for (const auto& [var, value] : presets) {
+      if (bindings[var] != kNullTermId && bindings[var] != value) return false;
+    }
+    return true;
+  }
+
+  // True when some rewriting of `alt` agrees with `bindings`.
+  static bool AnyCompatible(const AtomAlternative& alt,
+                            const std::vector<TermId>& bindings) {
+    for (const Presets& presets : alt.presets) {
+      if (Compatible(presets, bindings)) return true;
+    }
+    return false;
+  }
+
+  // Sum of the alternatives' store estimates under `bindings`; an
+  // alternative none of whose rewritings agrees with them contributes
+  // nothing.
+  size_t Estimate(size_t index, const std::vector<TermId>& bindings) const {
+    size_t total = 0;
+    for (const AtomAlternative& alt : q_.atoms()[index].alternatives) {
+      if (!AnyCompatible(alt, bindings)) continue;
+      const TriplePattern& a = alt.pattern;
+      total += HasRangeTerm(a)
+                   ? store_.EstimateCountRange(rdf::PlanRangeScan(
+                         ResolveRange(a.s, bindings), ResolveRange(a.p, bindings),
+                         ResolveRange(a.o, bindings)))
+                   : store_.EstimateCount(Resolve(a.s, bindings),
+                                          Resolve(a.p, bindings),
+                                          Resolve(a.o, bindings));
+    }
+    return total;
+  }
+
+  // The union's estimated size before any join binding: once per atom and
+  // evaluation.
+  size_t UnionEstimate(size_t index) {
+    AtomState& st = state_[index];
+    if (st.union_estimate == SIZE_MAX) {
+      st.union_estimate = Estimate(index, initial_);
+    }
+    return st.union_estimate;
+  }
+
+  // Enumerates the rewritings of `alt` consistent with the current
+  // bindings: one scan of the pattern, then each agreeing rewriting per
+  // triple. Around each call of `fn()` the triple's unbound positions and
+  // the rewriting's presets are bound; `fn` returns false to stop the
+  // scan. Cancellation is probed per enumerated triple and sets stopped_.
+  template <typename Fn>
+  void ForEachMatch(const AtomAlternative& alt, UnionAtomStats* as, Fn&& fn,
+                    bool buffered = false) {
+    if (!AnyCompatible(alt, bindings_)) return;
+    const TriplePattern& a = alt.pattern;
+    // With presets bound per rewriting: false once `fn` asks to stop.
+    auto each_rewriting = [&] {
+      for (const Presets& presets : alt.presets) {
+        VarId preset_here[3];
+        size_t preset_count = 0;
+        bool agree = true;
+        for (const auto& [var, value] : presets) {
+          TermId& slot = bindings_[var];
+          if (slot == kNullTermId) {
+            slot = value;
+            preset_here[preset_count++] = var;
+          } else if (slot != value) {
+            agree = false;
+            break;
+          }
+        }
+        const bool keep = !agree || fn();
+        while (preset_count > 0) {
+          bindings_[preset_here[--preset_count]] = kNullTermId;
+        }
+        if (!keep) return false;
+      }
+      return true;
+    };
+    {
+      auto process = [&](const Triple& t) {
+        if (cancel_ != nullptr && cancel_->Expired()) {
+          stopped_ = true;
+          return false;
+        }
+        if (as != nullptr) ++as->triples;
+        VarId bound_here[3];
+        size_t bound_count = 0;
+        bool keep = true;
+        if (TryBind(a.s, t.s, bound_here, bound_count) &&
+            TryBind(a.p, t.p, bound_here, bound_count) &&
+            TryBind(a.o, t.o, bound_here, bound_count)) {
+          keep = each_rewriting();
+        }
+        while (bound_count > 0) {
+          bindings_[bound_here[--bound_count]] = kNullTermId;
+        }
+        return keep && !stopped_;
+      };
+      auto scan = [&](auto&& sink) {
+        if (as != nullptr) ++as->scans;
+        if (HasRangeTerm(a)) {
+          store_.MatchPlan(
+              rdf::PlanRangeScan(ResolveRange(a.s, bindings_),
+                                 ResolveRange(a.p, bindings_),
+                                 ResolveRange(a.o, bindings_)),
+              sink);
+        } else {
+          store_.Match(Resolve(a.s, bindings_), Resolve(a.p, bindings_),
+                       Resolve(a.o, bindings_), sink);
+        }
+      };
+      if (buffered) {
+        // Read the whole scan, then join from the flat copy: the join's
+        // hash probes no longer interleave with the index walk.
+        const size_t depth = q_.atoms().size() - remaining_.size() - 1;
+        if (buffers_.size() <= depth) buffers_.resize(depth + 1);
+        std::vector<Triple>& buffer = buffers_[depth];
+        buffer.clear();
+        scan([&](const Triple& t) {
+          if (cancel_ != nullptr && cancel_->Expired()) {
+            stopped_ = true;
+            return false;
+          }
+          buffer.push_back(t);
+          return true;
+        });
+        for (const Triple& t : buffer) {
+          if (stopped_ || !process(t)) break;
+        }
+      } else {
+        scan(process);
+      }
+    }
+  }
+
+  // A live atom: every alternative, each distinct binding of the atom's
+  // unbound variables passed on once.
+  template <typename EmitFn>
+  void Expand(size_t index, UnionAtomStats* as, EmitFn&& emit) {
+    const UnionAtom& atom = q_.atoms()[index];
+    VarId unbound[3];
+    size_t width = 0;
+    for (VarId v : atom.vars) {
+      if (bindings_[v] == kNullTermId) unbound[width++] = v;
+    }
+    // One alternative without existentials or ranges maps store triples
+    // one-to-one onto bindings: nothing to de-duplicate. Neither is there
+    // for the last atom, whose bindings go straight to the answer table.
+    const AtomAlternative& first = atom.alternatives.front();
+    const bool may_repeat =
+        atom.alternatives.size() > 1 || first.presets.size() > 1 ||
+        HasRangeTerm(first.pattern) ||
+        VarCount(first.pattern) >
+            atom.vars.size() - first.presets.front().size();
+    std::optional<exec::DedupTable> seen;
+    if (may_repeat && !remaining_.empty()) seen.emplace(width);
+    exec::Value key[3];
+    for (const AtomAlternative& alt : atom.alternatives) {
+      if (stopped_) return;
+      ForEachMatch(alt, as, [&] {
+        if (seen.has_value()) {
+          for (size_t i = 0; i < width; ++i) key[i] = bindings_[unbound[i]];
+          if (!seen->Insert(key)) {
+            ++duplicates_;
+            return true;
+          }
+        }
+        if (as != nullptr) ++as->rows;
+        Recurse(emit);
+        return !stopped_;
+      }, /*buffered=*/eager_);
+    }
+  }
+
+  // Distinct variable positions of a pattern (fresh ones included).
+  static size_t VarCount(const TriplePattern& a) {
+    size_t n = 0;
+    VarId seen[3];
+    for (const PatternTerm* t : {&a.s, &a.p, &a.o}) {
+      if (t->is_var() && std::find(seen, seen + n, t->var) == seen + n) {
+        seen[n++] = t->var;
+      }
+    }
+    return n;
+  }
+
+  // A dead atom: continue once if any alternative matches.
+  template <typename EmitFn>
+  void Probe(size_t index, UnionAtomStats* as, EmitFn&& emit) {
+    const UnionAtom& atom = q_.atoms()[index];
+    AtomState& st = state_[index];
+    size_t bound = 0;
+    VarId key = 0;
+    for (VarId v : atom.vars) {
+      if (bindings_[v] != kNullTermId) {
+        ++bound;
+        key = v;
+      }
+    }
+    if (as != nullptr) ++as->probes;
+    bool found;
+    if (bound == 0) {
+      // Independent of the bindings: probe once per evaluation.
+      if (st.exists < 0) st.exists = AnyMatch(index, as) ? 1 : 0;
+      found = st.exists == 1;
+    } else if (bound == 1 && st.set_state == SetState::kMaterialized &&
+               st.key == key) {
+      found = st.keys->Contains(&bindings_[key]);
+    } else {
+      found = AnyMatch(index, as);
+      if (bound == 1 && st.set_state == SetState::kProbing &&
+          st.tried > UnionEstimate(index)) {
+        Materialize(index, key, as);
+      }
+    }
+    if (stopped_ || !found) return;
+    if (as != nullptr) ++as->rows;
+    Recurse(emit);
+  }
+
+  bool AnyMatch(size_t index, UnionAtomStats* as) {
+    AtomState& st = state_[index];
+    bool found = false;
+    for (const AtomAlternative& alt : q_.atoms()[index].alternatives) {
+      ++st.tried;
+      ForEachMatch(alt, as, [&] {
+        found = true;
+        return false;
+      });
+      if (found || stopped_) break;
+    }
+    return found;
+  }
+
+  // Enumerates atom `index`'s union once into the set of values its
+  // variable `key` takes, with the atom's other variables free (the only
+  // shape the set answers for). Gives up past kMaxUnionSetKeys keys.
+  void Materialize(size_t index, VarId key, UnionAtomStats* as) {
+    AtomState& st = state_[index];
+    st.set_state = SetState::kTooLarge;
+    exec::DedupTable keys(1);
+    const TermId saved = bindings_[key];
+    bindings_[key] = kNullTermId;
+    bool too_large = false;
+    for (const AtomAlternative& alt : q_.atoms()[index].alternatives) {
+      ForEachMatch(alt, as, [&] {
+        keys.Insert(&bindings_[key]);
+        too_large = keys.size() > kMaxUnionSetKeys;
+        return !too_large;
+      });
+      if (too_large || stopped_) break;
+    }
+    bindings_[key] = saved;
+    if (too_large || stopped_) return;
+    st.keys.emplace(std::move(keys));
+    st.key = key;
+    st.set_state = SetState::kMaterialized;
+    ++materializations_;
+    if (as != nullptr) as->materialized = true;
+  }
+
+  bool TryBind(const PatternTerm& term, TermId value, VarId (&bound_here)[3],
+               size_t& bound_count) {
+    if (term.is_const()) return term.id == value;
+    if (term.is_range()) return true;  // the scan plan enforces the range
+    TermId& slot = bindings_[term.var];
+    if (slot == kNullTermId) {
+      slot = value;
+      bound_here[bound_count++] = term.var;
+      return true;
+    }
+    return slot == value;
+  }
+
+  const StoreView& store_;
+  const JoinOfUnions& q_;
+  bool greedy_;
+  bool eager_;
+  CancelProbe* cancel_;  // not owned; null = no deadline
+  bool stopped_ = false;
+  std::vector<TermId> bindings_;
+  std::vector<TermId> initial_;  // bindings_ before the first atom
+  std::vector<bool> projected_;
+  std::vector<uint32_t> uses_;  // remaining atoms using each variable
+  std::vector<size_t> remaining_;
+  std::vector<AtomState> state_;
+  std::vector<UnionAtomStats>* stats_ = nullptr;  // not owned; null = off
+  uint64_t materializations_ = 0;
+  uint64_t duplicates_ = 0;
+  std::vector<std::vector<Triple>> buffers_;  // per-depth scan copies
+};
+
+std::string UnionAtomLabel(const BgpQuery& q, const rdf::Dictionary* dict,
+                           const UnionAtom& atom,
+                           const UnionAtomStats& stats) {
+  std::string label = "union(" + PatternTermLabel(q, dict, atom.written.s) +
+                      " " + PatternTermLabel(q, dict, atom.written.p) + " " +
+                      PatternTermLabel(q, dict, atom.written.o) + ") [" +
+                      std::to_string(atom.rewritings()) + " alternatives";
+  if (stats.probes > 0) {
+    label += ", " + std::to_string(stats.probes) + " probes";
+  }
+  if (stats.materialized) label += ", materialized";
+  return label + "]";
+}
+
+// Branches in order, one dedup table across all of them, early break once
+// the row budget is met: EvaluateUnionSequential's contract, with each
+// branch a join of unions.
+ResultSet EvaluateJucq(const StoreView& store, const JucqQuery& q,
+                       const EvaluatorOptions& options,
+                       obs::ProfileNode* profile) {
+  WDR_COUNTER_INC("wdr.query.union_evals");
+  ResultSet result;
+  const size_t max_rows = MaxRowsNeeded(q.ask, q.limit, q.offset);
+  exec::DedupTable seen(q.width());
+  CancelProbe probe(options);
+  const uint64_t start = NowNanos();
+  uint64_t materializations = 0;
+  uint64_t atom_duplicates = 0;
+  Row scratch;
+  for (size_t b = 0; b < q.branches.size(); ++b) {
+    const JoinOfUnions& branch = q.branches[b];
+    if (result.var_names.empty()) {
+      result.var_names = branch.written().ProjectionNames();
+    }
+    if (result.rows.size() >= max_rows) break;
+    if (probe.enabled() && probe.Expired()) break;
+    const size_t rows_before = result.rows.size();
+    obs::Span branch_span("wdr.query.branch");
+    branch_span.AddAttr("branch", static_cast<uint64_t>(b));
+    if (options.collect != nullptr) ++options.collect->branches;
+    const uint64_t branch_start = NowNanos();
+    std::vector<UnionAtomStats> stats;
+    UnionAtomJoin join(store, branch, options.greedy_join_order,
+                       /*eager=*/max_rows == SIZE_MAX,
+                       probe.enabled() ? &probe : nullptr);
+    if (profile != nullptr) {
+      stats.resize(branch.atoms().size());
+      join.set_stats(&stats);
+    }
+    join.Run([&](const std::vector<TermId>& bindings) {
+      ProjectRowInto(branch.written(), bindings, scratch);
+      if (seen.Insert(scratch.data())) result.rows.push_back(scratch);
+      return result.rows.size() < max_rows && !probe.Expired();
+    });
+    materializations += join.materializations();
+    atom_duplicates += join.duplicates();
+    if (profile != nullptr) {
+      obs::ProfileNode& node = profile->AddChild("branch " + std::to_string(b));
+      node.rows = result.rows.size() - rows_before;
+      node.seconds = static_cast<double>(NowNanos() - branch_start) * 1e-9;
+      for (size_t i = 0; i < stats.size(); ++i) {
+        obs::ProfileNode& child = node.AddChild(UnionAtomLabel(
+            branch.written(), options.dict, branch.atoms()[i], stats[i]));
+        child.rows = stats[i].rows;
+        child.triples = stats[i].triples;
+        child.scans = stats[i].scans;
+        child.seconds = static_cast<double>(stats[i].nanos) * 1e-9;
+      }
+    }
+  }
+  WDR_COUNTER_ADD("wdr.query.union_atom.materializations", materializations);
+  RecordDuplicates(seen.duplicates() + atom_duplicates, options);
+  if (profile != nullptr) {
+    profile->rows += result.rows.size();
+    profile->seconds += static_cast<double>(NowNanos() - start) * 1e-9;
+  }
+  return result;
+}
+
 }  // namespace
 
 void ApplySolutionModifiers(const UnionQuery& q, ResultSet& result) {
-  if (q.ask()) {
-    bool any = !result.rows.empty();
-    result.var_names.clear();
-    result.rows.clear();
-    if (any) result.rows.push_back({});
-    return;
-  }
-  if (q.offset() > 0) {
-    size_t drop = std::min(q.offset(), result.rows.size());
-    result.rows.erase(result.rows.begin(), result.rows.begin() + drop);
-  }
-  if (q.limit() != UnionQuery::kNoLimit && result.rows.size() > q.limit()) {
-    result.rows.resize(q.limit());
-  }
+  ApplyModifiers(q.ask(), q.limit(), q.offset(), result);
+}
+
+void ApplySolutionModifiers(const JucqQuery& q, ResultSet& result) {
+  ApplyModifiers(q.ask, q.limit, q.offset, result);
 }
 
 void ResultSet::Normalize(bool dedup) {
@@ -1052,6 +1601,14 @@ ResultSet Evaluator::Evaluate(const UnionQuery& q,
                               obs::ProfileNode* profile) const {
   ResultSet result =
       EvaluateUnionQuery(*store_, q, options_, profile, options_.dict);
+  ApplySolutionModifiers(q, result);
+  WDR_COUNTER_ADD("wdr.query.rows", result.rows.size());
+  return result;
+}
+
+ResultSet Evaluator::Evaluate(const JucqQuery& q,
+                              obs::ProfileNode* profile) const {
+  ResultSet result = EvaluateJucq(*store_, q, options_, profile);
   ApplySolutionModifiers(q, result);
   WDR_COUNTER_ADD("wdr.query.rows", result.rows.size());
   return result;

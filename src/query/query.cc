@@ -89,4 +89,102 @@ size_t UnionQuery::TotalAtoms() const {
   return total;
 }
 
+namespace {
+
+// The distinct variables of `atom` in order of first occurrence (s, p, o):
+// the order AtomQuery numbers them in.
+std::vector<VarId> AtomVars(const TriplePattern& atom) {
+  std::vector<VarId> vars;
+  for (const PatternTerm* t : {&atom.s, &atom.p, &atom.o}) {
+    if (t->is_var() &&
+        std::find(vars.begin(), vars.end(), t->var) == vars.end()) {
+      vars.push_back(t->var);
+    }
+  }
+  return vars;
+}
+
+}  // namespace
+
+BgpQuery AtomQuery(const BgpQuery& q, size_t index) {
+  const TriplePattern& atom = q.atoms()[index];
+  const std::vector<VarId> vars = AtomVars(atom);
+  BgpQuery out;
+  for (size_t i = 0; i < vars.size(); ++i) {
+    out.Project(out.AddVar("a" + std::to_string(i)));
+  }
+  auto local = [&](const PatternTerm& t) {
+    if (!t.is_var()) return t;
+    const auto at = std::find(vars.begin(), vars.end(), t.var);
+    return PatternTerm::Variable(static_cast<VarId>(at - vars.begin()));
+  };
+  out.AddAtom(TriplePattern{local(atom.s), local(atom.p), local(atom.o)});
+  return out;
+}
+
+bool JoinOfUnions::AddAtom(const UnionQuery& rewriting) {
+  UnionAtom unioned;
+  unioned.written = written_.atoms()[atoms_.size()];
+  unioned.vars = AtomVars(unioned.written);
+  const size_t k = unioned.vars.size();
+  size_t slots = var_count_;
+  for (const BgpQuery& branch : rewriting.branches()) {
+    if (branch.atoms().size() != 1) return false;
+    // Local ids below k are the atom's variables; the rest are fresh.
+    auto global = [&](VarId v) {
+      if (v < k) return unioned.vars[v];
+      const VarId g = static_cast<VarId>(var_count_ + (v - k));
+      slots = std::max(slots, static_cast<size_t>(g) + 1);
+      return g;
+    };
+    auto map = [&](const PatternTerm& t) {
+      return t.is_var() ? PatternTerm::Variable(global(t.var)) : t;
+    };
+    const TriplePattern& a = branch.atoms().front();
+    const TriplePattern pattern{map(a.s), map(a.p), map(a.o)};
+    std::vector<bool> bound(k, false);
+    for (const PatternTerm* t : {&a.s, &a.p, &a.o}) {
+      if (t->is_var() && t->var < k) bound[t->var] = true;
+    }
+    Presets presets;
+    for (const auto& [var, value] : branch.preset()) {
+      presets.emplace_back(global(var), value);
+      if (var < k) bound[var] = true;
+    }
+    std::sort(presets.begin(), presets.end());
+    if (std::find(bound.begin(), bound.end(), false) != bound.end()) {
+      return false;
+    }
+    auto same = std::find_if(
+        unioned.alternatives.begin(), unioned.alternatives.end(),
+        [&](const AtomAlternative& alt) { return alt.pattern == pattern; });
+    if (same == unioned.alternatives.end()) {
+      unioned.alternatives.push_back(AtomAlternative{pattern, {}});
+      same = unioned.alternatives.end() - 1;
+    }
+    same->presets.push_back(std::move(presets));
+  }
+  var_count_ = slots;
+  atoms_.push_back(std::move(unioned));
+  return true;
+}
+
+size_t UnionAtom::rewritings() const {
+  size_t total = 0;
+  for (const AtomAlternative& alt : alternatives) total += alt.presets.size();
+  return total;
+}
+
+size_t JoinOfUnions::rewritings() const {
+  size_t total = 0;
+  for (const UnionAtom& atom : atoms_) total += atom.rewritings();
+  return total;
+}
+
+size_t JucqQuery::rewritings() const {
+  size_t total = 0;
+  for (const JoinOfUnions& branch : branches) total += branch.rewritings();
+  return total;
+}
+
 }  // namespace wdr::query

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -135,6 +136,7 @@ class UnionQuery {
   void AddBranch(BgpQuery q) { branches_.push_back(std::move(q)); }
 
   const std::vector<BgpQuery>& branches() const { return branches_; }
+  std::vector<BgpQuery>& mutable_branches() { return branches_; }
   size_t size() const { return branches_.size(); }
 
   // Values per answer row: the projection width every branch shares (0
@@ -165,6 +167,89 @@ class UnionQuery {
   bool ask_ = false;
   size_t limit_ = kNoLimit;
   size_t offset_ = 0;
+};
+
+// Atom `index` of `q` as a query of its own: the atom's distinct variables,
+// named by position ("a0", "a1", "a2") so that equal atom shapes of
+// different queries share one reformulation memo entry, all projected in
+// order of first occurrence (s, p, o).
+BgpQuery AtomQuery(const BgpQuery& q, size_t index);
+
+// The values one rewriting fixed: variables grounded on schema terms, e.g.
+// ?c := Person for (?x rdf:type ?c). A grounded variable no longer occurs
+// in the rewritten pattern.
+using Presets = std::vector<std::pair<VarId, TermId>>;
+
+// The rewritings of a single atom that share one triple pattern (over the
+// JoinOfUnions' variable space): one scan serves them all.
+struct AtomAlternative {
+  TriplePattern pattern;
+  // One entry per rewriting; a single empty entry when nothing was fixed.
+  std::vector<Presets> presets;
+};
+
+// One atom of a BGP evaluated as the union of its rewritings.
+struct UnionAtom {
+  TriplePattern written;  // the atom as the query wrote it
+  // The atom's distinct variables. Every rewriting binds each of them,
+  // through its pattern or a preset; fresh variables a rewriting introduced
+  // (the _ref existentials of domain/range rules) are local to their
+  // alternative and listed nowhere.
+  std::vector<VarId> vars;
+  std::vector<AtomAlternative> alternatives;
+
+  // Rewritings: presets summed over alternatives.
+  size_t rewritings() const;
+};
+
+// A BGP evaluated as a join of per-atom unions (a JUCQ, the cover-based
+// reformulation of Bursztyn, Goasdoué and Manolescu with one fragment per
+// atom) instead of the union of every combination of its atoms'
+// rewritings. In the RDFS fragment q(G∞) is the join of each atom's
+// answers on G∞, and a single-atom reformulation with every variable
+// projected is complete for that atom, so both forms answer alike; the
+// join evaluates each atom's union once instead of once per combination.
+class JoinOfUnions {
+ public:
+  explicit JoinOfUnions(BgpQuery written)
+      : written_(std::move(written)), var_count_(written_.var_count()) {}
+
+  // Appends the union of written atom atoms().size() (the next one, in
+  // order): `rewriting` is Reformulate(AtomQuery(written(), index)).
+  // Rewriting variables map onto the written query's by position; fresh
+  // ones get slots past var_count() of the written query. False, adding
+  // nothing, when an alternative leaves one of the atom's variables
+  // unbound: the join could not keep the atom's answers then.
+  bool AddAtom(const UnionQuery& rewriting);
+
+  const BgpQuery& written() const { return written_; }
+  // Variable slots: the written query's, then the fresh ones.
+  size_t var_count() const { return var_count_; }
+  const std::vector<UnionAtom>& atoms() const { return atoms_; }
+  // Rewritings summed over atoms: the evaluated union size.
+  size_t rewritings() const;
+
+ private:
+  BgpQuery written_;
+  size_t var_count_;
+  std::vector<UnionAtom> atoms_;
+};
+
+// A union of BGPs (the branches of a user-written UNION), each evaluated as
+// a JoinOfUnions, with the query-level modifiers of the UnionQuery it came
+// from.
+struct JucqQuery {
+  std::vector<JoinOfUnions> branches;
+  bool ask = false;
+  size_t limit = UnionQuery::kNoLimit;
+  size_t offset = 0;
+
+  // Values per answer row (0 without branches).
+  size_t width() const {
+    return branches.empty() ? 0 : branches.front().written().projection().size();
+  }
+  // Rewritings summed over every atom of every branch.
+  size_t rewritings() const;
 };
 
 }  // namespace wdr::query

@@ -425,6 +425,38 @@ Result<UnionQuery> Reformulator::Reformulate(const UnionQuery& q,
   return result;
 }
 
+Result<std::optional<query::JucqQuery>> Reformulator::ReformulateAtoms(
+    const UnionQuery& q, UnionQuery* alternatives,
+    ReformulationStats* stats) const {
+  query::JucqQuery jucq;
+  jucq.ask = q.ask();
+  jucq.limit = q.limit();
+  jucq.offset = q.offset();
+  ReformulationStats total;
+  for (const BgpQuery& branch : q.branches()) {
+    query::JoinOfUnions join(branch);
+    for (size_t i = 0; i < branch.atoms().size(); ++i) {
+      ReformulationStats atom;
+      WDR_ASSIGN_OR_RETURN(UnionQuery rewriting,
+                           Reformulate(query::AtomQuery(branch, i), &atom));
+      if (!join.AddAtom(rewriting)) return std::optional<query::JucqQuery>();
+      total.conjunctive_queries += atom.conjunctive_queries;
+      total.total_atoms += atom.total_atoms;
+      total.rewrite_steps += atom.rewrite_steps;
+      total.pruned_cqs += atom.pruned_cqs;
+      total.range_collapses += atom.range_collapses;
+      if (alternatives != nullptr) {
+        for (BgpQuery& cq : rewriting.mutable_branches()) {
+          alternatives->AddBranch(std::move(cq));
+        }
+      }
+    }
+    jucq.branches.push_back(std::move(join));
+  }
+  if (stats != nullptr) *stats = total;
+  return std::optional<query::JucqQuery>(std::move(jucq));
+}
+
 size_t CloseSchema(rdf::Graph& graph, const schema::Vocabulary& vocab) {
   rdf::TripleStore schema_triples;
   graph.store().Match(0, 0, 0, [&](const rdf::Triple& t) {

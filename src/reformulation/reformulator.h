@@ -2,6 +2,7 @@
 #define WDR_REFORMULATION_REFORMULATOR_H_
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -114,6 +115,16 @@ class Reformulator {
   // Reformulates each branch and concatenates the results.
   Result<query::UnionQuery> Reformulate(const query::UnionQuery& q,
                                         ReformulationStats* stats = nullptr) const;
+
+  // Reformulates each atom of each branch on its own (the memo keys on the
+  // atom's shape, see query::AtomQuery) into a join of per-atom unions.
+  // `alternatives`, when non-null, receives the atoms' rewritings back to
+  // back, and `stats` sums the per-atom ones (conjunctive_queries is then
+  // the alternatives' count). Nullopt when an atom's rewriting cannot join
+  // (query::JoinOfUnions::AddAtom); Reformulate(q) is the answer then.
+  Result<std::optional<query::JucqQuery>> ReformulateAtoms(
+      const query::UnionQuery& q, query::UnionQuery* alternatives = nullptr,
+      ReformulationStats* stats = nullptr) const;
 
   // Estimates the fan-out Reformulate(q) would produce, without expanding:
   // exact (from the memo) when this query was already rewritten under the

@@ -660,20 +660,36 @@ Result<PreparedQuery> ReasoningStore::PrepareInternal(
 
   if (prepared.mode == ReasoningMode::kReformulation) {
     // Rewriting happens at prepare time: the reformulator's memo is shared
-    // mutable state, and baking the UCQ into the PreparedQuery makes
+    // mutable state, and baking the rewriting into the PreparedQuery makes
     // Execute pure. An encoding-enabled store serves sessions that opted
     // out (and frozen prepares that found the encoding stale) from the
-    // classic-reformulator cache.
+    // classic-reformulator cache. The legacy join evaluates a join of
+    // per-atom unions; the plan route compiles the whole-query UCQ.
     reformulation::Reformulator& reformulator =
         (options_.encoding && !use_encoding) ? CachedPlainReformulator()
                                              : CachedReformulator();
     reformulation::ReformulationStats ref_stats;
     double rewrite_seconds = 0;
-    Result<query::UnionQuery> reformulated_or = [&] {
+    Status rewritten = [&]() -> Status {
       ScopedTimer<> rewrite_timer(rewrite_seconds);
-      return reformulator.Reformulate(q, &ref_stats);
+      if (!eval.plan) {
+        query::UnionQuery alternatives;
+        alternatives.SetAsk(q.ask());
+        alternatives.SetLimit(q.limit());
+        alternatives.SetOffset(q.offset());
+        WDR_ASSIGN_OR_RETURN(
+            prepared.jucq,
+            reformulator.ReformulateAtoms(q, &alternatives, &ref_stats));
+        if (prepared.jucq.has_value()) {
+          prepared.query = std::move(alternatives);
+          return Status::Ok();
+        }
+      }
+      WDR_ASSIGN_OR_RETURN(prepared.query,
+                           reformulator.Reformulate(q, &ref_stats));
+      return Status::Ok();
     }();
-    WDR_ASSIGN_OR_RETURN(prepared.query, std::move(reformulated_or));
+    WDR_RETURN_IF_ERROR(rewritten);
     obs::MetricsRegistry::Get()
         .GetHistogram("wdr.store.reformulation.rewrite")
         .RecordSeconds(rewrite_seconds);
@@ -730,14 +746,22 @@ Result<query::ResultSet> ReasoningStore::ExecuteInternal(
       }
       case ReasoningMode::kReformulation: {
         if (profile != nullptr) {
+          const std::string shape =
+              prepared.jucq.has_value()
+                  ? std::to_string(prepared.union_size) +
+                        " alternatives in a join of unions"
+                  : std::to_string(prepared.union_size) + " CQs";
           obs::ProfileNode& rewrite = profile->AddChild(
-              "reformulate (" + std::to_string(prepared.union_size) +
-              " CQs, " + std::to_string(prepared.reformulation.pruned_cqs) +
+              "reformulate (" + shape + ", " +
+              std::to_string(prepared.reformulation.pruned_cqs) +
               " pruned)");
           rewrite.rows = prepared.union_size;
           rewrite.seconds = prepared.rewrite_seconds;
         }
         query::Evaluator evaluator(queried, eval_options);
+        if (prepared.jucq.has_value()) {
+          return evaluator.Evaluate(*prepared.jucq, profile);
+        }
         return evaluator.Evaluate(prepared.query, profile);
       }
       case ReasoningMode::kBackward: {

@@ -36,8 +36,9 @@ enum class ReasoningMode {
   // Forward chaining: an incrementally maintained closure G∞ is queried
   // (OWLIM / Oracle style). Cheap queries, maintenance on update.
   kSaturation,
-  // Query rewriting: q is reformulated into a UCQ evaluated on G
-  // (EDBT'13 style). Zero maintenance, costlier queries.
+  // Query rewriting: q is reformulated (EDBT'13 style) and evaluated on G,
+  // as a join of per-atom unions on the legacy join or as one UCQ on the
+  // plan route. Zero maintenance, costlier queries.
   kReformulation,
   // Run-time backward chaining: per-atom expansion inside the join
   // (AllegroGraph / Virtuoso style). Zero maintenance.
@@ -140,9 +141,15 @@ struct ReadOptions {
 // long as the store is not updated in between.
 struct PreparedQuery {
   ReasoningMode mode = ReasoningMode::kNone;
-  // The evaluable form: the parsed query, already reformulated into a UCQ
-  // in kReformulation mode.
+  // The parsed query; in kReformulation mode its reformulation. With plan
+  // mode on that is the whole-query UCQ, which Execute evaluates. On the
+  // legacy join it is every atom's rewriting back to back, one single-atom
+  // CQ per alternative of `jucq`: what the union atoms scan, not a query
+  // to evaluate on its own.
   query::UnionQuery query;
+  // kReformulation on the legacy join: the query as a join of per-atom
+  // unions, which Execute evaluates instead of `query`.
+  std::optional<query::JucqQuery> jucq;
   // Fully resolved evaluator knobs (dict, cached statistics, cancellation).
   query::EvaluatorOptions eval;
   // Schema snapshot for kBackward (null in other modes). Borrowed from the
@@ -157,6 +164,8 @@ struct PreparedQuery {
   bool via_auto = false;
   double est_seconds = -1;  // selector's estimate for the routed mode
   // Rewrite diagnostics captured at prepare time (kReformulation).
+  // union_size counts the evaluated disjuncts: `query`'s branches, i.e. the
+  // alternatives summed over union atoms on the JUCQ route.
   size_t union_size = 1;
   reformulation::ReformulationStats reformulation;
   double rewrite_seconds = 0;
@@ -170,7 +179,9 @@ struct PreparedQuery {
 // Per-query diagnostics.
 struct QueryInfo {
   ReasoningMode mode = ReasoningMode::kNone;
-  size_t union_size = 1;     // UCQ disjuncts evaluated (reformulation)
+  // Disjuncts evaluated (reformulation): UCQ branches, or alternatives
+  // summed over union atoms on the JUCQ route.
+  size_t union_size = 1;
   double seconds = 0;        // wall-clock, parse included
   // Rewriting shape (kReformulation mode; zeros elsewhere).
   reformulation::ReformulationStats reformulation;

@@ -66,6 +66,20 @@ TEST(DifferentialTest, StoreModeOverridesAgreeOnRandomInstances) {
   }
 }
 
+// Reformulated queries evaluated as joins of per-atom unions answer as the
+// whole-query UCQ and saturation do, on shapes that stress the per-atom
+// split (shared class and property variables, repeated variables, cross
+// products, UNION, ASK, LIMIT/OFFSET, existence probes) and on random BGPs
+// with partial projections, through the engine and the store front door.
+TEST(DifferentialTest, JoinOfUnionsAgreesOnRandomInstances) {
+  const uint64_t base_seed = test::EnvU64("WDR_SEED", kDefaultBaseSeed);
+  const uint64_t instances =
+      test::EnvU64("WDR_DIFF_INSTANCES", kDefaultInstances);
+  for (uint64_t i = 0; i < instances; ++i) {
+    EXPECT_TRUE(test::RunJucqDifferentialInstance(base_seed + i));
+  }
+}
+
 // Contract check: SaturateInto must refuse a non-empty closure instead of
 // silently mixing its triples into the result.
 TEST(SaturateIntoContract, RejectsNonEmptyClosure) {

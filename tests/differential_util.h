@@ -33,6 +33,7 @@
 #include "exec/statistics.h"
 #include "datalog/rdf_datalog.h"
 #include "io/turtle_writer.h"
+#include "query/sparql_parser.h"
 #include "query/evaluator.h"
 #include "rdf/hier_encoding.h"
 #include "reasoning/saturated_graph.h"
@@ -479,6 +480,211 @@ inline ::testing::AssertionResult RunStoreDifferentialInstance(
             return fail(label + ": mode=" +
                         store::ReasoningModeName(*mode) +
                         " differs from the canonical saturation answers");
+          }
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// SPARQL texts for the join-of-unions harness: fixed shapes that stress
+// the per-atom split (class and property variables shared across atoms,
+// repeated variables inside one atom, cross products, user-written UNION,
+// ASK, LIMIT/OFFSET, variables left out of the projection so atoms turn
+// into existence probes), instantiated with constants drawn from `rng`,
+// plus random BGPs projecting a random subset of their variables.
+inline std::vector<std::string> JucqDifferentialQueries(Rng& rng,
+                                                        const RandomGraph& rg,
+                                                        int random_queries) {
+  auto pick = [&rng, &rg](const std::vector<rdf::TermId>& pool) {
+    return rg.graph.dict()
+        .term(pool[static_cast<size_t>(rng.Uniform(0, pool.size() - 1))])
+        .ToNTriples();
+  };
+  const std::string prefix =
+      "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n";
+  const std::string ca = pick(rg.classes), cb = pick(rg.classes);
+  const std::string pa = pick(rg.properties), pb = pick(rg.properties);
+  std::vector<std::string> texts = {
+      // A class variable shared across atoms, projected and not.
+      "SELECT ?x ?y ?c WHERE { ?x rdf:type ?c . ?y rdf:type ?c }",
+      "SELECT ?x WHERE { ?x rdf:type ?c . ?y rdf:type ?c . ?y rdf:type " +
+          cb + " }",
+      // A property variable shared with a subject position.
+      "SELECT ?x ?p ?y WHERE { ?x ?p ?y . ?p ?q ?z }",
+      "SELECT ?p ?z WHERE { ?x ?p ?y . ?p ?q ?z }",
+      "SELECT ?x ?y WHERE { ?x ?p ?y . ?y ?p ?z }",
+      // Repeated variables inside one atom.
+      "SELECT ?x ?p WHERE { ?x ?p ?x }",
+      "SELECT ?x WHERE { ?x " + pa + " ?x . ?x rdf:type ?c }",
+      // Cross products: both sides projected, and a dead unconnected atom.
+      "SELECT ?x ?y WHERE { ?x rdf:type " + ca + " . ?y rdf:type " + cb +
+          " }",
+      "SELECT ?x WHERE { ?x rdf:type " + ca + " . ?y " + pb + " ?z }",
+      // Existence probes on a chain.
+      "SELECT ?x ?z WHERE { ?x " + pa + " ?y . ?y " + pb +
+          " ?z . ?y rdf:type ?c }",
+      "SELECT ?x WHERE { ?x " + pa + " ?y . ?y rdf:type " + ca + " }",
+      // User-written UNION.
+      "SELECT ?x WHERE { { ?x rdf:type " + ca + " } UNION { ?x " + pa +
+          " ?y . ?y rdf:type " + cb + " } }",
+      // Solution modifiers.
+      "ASK { ?x " + pa + " ?y . ?y rdf:type " + ca + " }",
+      "ASK { ?x rdf:type ?c . ?c rdf:type ?d }",
+      "SELECT ?x ?y WHERE { ?x ?p ?y . ?y rdf:type ?c } LIMIT 3 OFFSET 1",
+      "SELECT ?x WHERE { ?x rdf:type " + cb + " . ?x ?p ?y } LIMIT 2",
+  };
+  for (std::string& text : texts) text = prefix + text;
+  for (int k = 0; k < random_queries; ++k) {
+    const query::BgpQuery q = MakeRandomQuery(rng, rg);
+    std::string projection;
+    for (query::VarId v : q.projection()) {
+      if (rng.Chance(0.6)) projection += " ?" + q.var_name(v);
+    }
+    if (projection.empty()) {
+      projection = " ?" + q.var_name(q.projection().front());
+    }
+    std::string text = ToSparql(q, rg.graph);
+    text.replace(0, text.find(" WHERE"), "SELECT" + projection);
+    texts.push_back(prefix + text);
+  }
+  return texts;
+}
+
+// Join-of-unions check for one seed. Every query of
+// JucqDifferentialQueries must answer alike as
+//   - saturation (the query on the closure),
+//   - the whole-query UCQ on the legacy join,
+//   - the join of per-atom unions (Reformulator::ReformulateAtoms), and
+//   - ReasoningStore in reformulation mode on the legacy join (the JUCQ
+//     route), on the plan route (the UCQ) and through the kAuto selector,
+//     on both backends with the hierarchy encoding off and on.
+// A LIMIT/OFFSET query must return the expected number of rows, all of
+// them answers of the query without its modifiers.
+inline ::testing::AssertionResult RunJucqDifferentialInstance(
+    uint64_t seed, const DifferentialConfig& config = {}) {
+  auto fail = [&](const std::string& what) {
+    return ::testing::AssertionFailure()
+           << what << " [seed=" << seed << " — rerun with WDR_SEED=" << seed
+           << "]";
+  };
+  using Answers = std::set<std::vector<std::string>>;
+
+  Rng graph_rng(seed);
+  RandomGraph rg = MakeRandomGraph(graph_rng, config.graph);
+  reformulation::CloseSchema(rg.graph, rg.vocab);
+  const std::string turtle = io::WriteTurtle(rg.graph);
+  Rng query_rng(seed ^ 0x2545f4914f6cdd1dull);
+  const std::vector<std::string> texts =
+      JucqDifferentialQueries(query_rng, rg, config.queries_per_instance);
+
+  reasoning::SaturatedGraph saturated(rg.graph, rg.vocab);
+  schema::Schema schema = schema::Schema::FromGraph(rg.graph, rg.vocab);
+  reformulation::Reformulator reformulator(schema, rg.vocab);
+  query::EvaluatorOptions legacy;
+  legacy.plan = false;
+  query::Evaluator closure_eval(saturated.closure(), legacy);
+  query::Evaluator base_eval(rg.graph.store(), legacy);
+
+  // Answers of `q` on the closure without its modifiers, and the checker
+  // for one route's rows of `q` (with them).
+  struct Expected {
+    Answers all;      // no modifiers
+    Answers exact;    // with them; meaningful only when !limited
+    size_t rows = 0;  // rows the modifiers leave
+    bool limited = false;
+  };
+  auto agrees = [](const Expected& e, const Answers& got, size_t rows) {
+    if (!e.limited) return got == e.exact && rows == e.exact.size();
+    if (rows != e.rows || got.size() != rows) return false;
+    return std::includes(e.all.begin(), e.all.end(), got.begin(), got.end());
+  };
+
+  std::vector<Expected> expected;
+  for (size_t k = 0; k < texts.size(); ++k) {
+    const std::string label = "jucq query " + std::to_string(k) + " `" +
+                              texts[k] + "`";
+    Result<query::UnionQuery> q = query::ParseSparql(texts[k], rg.graph.dict());
+    if (!q.ok()) return fail(label + ": parse failed: " + q.status().ToString());
+    query::UnionQuery unlimited = *q;
+    unlimited.SetLimit(query::UnionQuery::kNoLimit);
+    unlimited.SetOffset(0);
+    Expected e;
+    e.all = Rows(rg.graph, closure_eval.Evaluate(unlimited));
+    const query::ResultSet sat = closure_eval.Evaluate(*q);
+    e.exact = Rows(rg.graph, sat);
+    e.rows = sat.rows.size();
+    e.limited = q->limit() != query::UnionQuery::kNoLimit || q->offset() > 0;
+    if (e.limited) {
+      const size_t rest =
+          e.all.size() > q->offset() ? e.all.size() - q->offset() : 0;
+      if (e.rows != std::min(rest, q->limit())) {
+        return fail(label + ": saturation returned " + std::to_string(e.rows) +
+                    " rows under its LIMIT/OFFSET");
+      }
+    }
+
+    Result<query::UnionQuery> ucq = reformulator.Reformulate(*q);
+    if (!ucq.ok()) return fail(label + ": " + ucq.status().ToString());
+    const query::ResultSet via_ucq = base_eval.Evaluate(*ucq);
+    if (!agrees(e, Rows(rg.graph, via_ucq), via_ucq.rows.size())) {
+      return fail(label + ": the whole-query UCQ differs from saturation");
+    }
+    auto jucq = reformulator.ReformulateAtoms(*q);
+    if (!jucq.ok() || !jucq->has_value()) {
+      return fail(label + ": no join of unions for this query");
+    }
+    const query::ResultSet via_jucq = base_eval.Evaluate(**jucq);
+    if (!agrees(e, Rows(rg.graph, via_jucq), via_jucq.rows.size())) {
+      return fail(label + ": the join of unions differs from saturation");
+    }
+    expected.push_back(std::move(e));
+  }
+
+  for (rdf::StorageBackend backend :
+       {rdf::StorageBackend::kOrdered, rdf::StorageBackend::kFlat}) {
+    for (bool encoding : {false, true}) {
+      store::ReasoningStoreOptions options;
+      options.mode = store::ReasoningMode::kReformulation;
+      options.backend = backend;
+      options.encoding = encoding;
+      store::ReasoningStore store(options);
+      Result<size_t> loaded = store.LoadTurtle(turtle);
+      if (!loaded.ok()) {
+        return fail("store LoadTurtle failed: " + loaded.status().ToString());
+      }
+      const std::string store_label =
+          std::string(" (backend=") + rdf::StorageBackendName(backend) +
+          ", encoding=" + (encoding ? "on" : "off");
+      for (size_t k = 0; k < texts.size(); ++k) {
+        for (int route = 0; route < 3; ++route) {
+          store::ReadOptions ro;
+          ro.plan = route == 1;
+          if (route == 2) ro.mode = store::ReasoningMode::kAuto;
+          const std::string label =
+              "jucq query " + std::to_string(k) + store_label +
+              (route == 0 ? ", legacy join)"
+                          : route == 1 ? ", plan)" : ", auto)");
+          Result<store::PreparedQuery> prepared = store.Prepare(texts[k], ro);
+          if (!prepared.ok()) {
+            return fail(label + ": Prepare failed: " +
+                        prepared.status().ToString());
+          }
+          if (route == 0 && !prepared->jucq.has_value()) {
+            return fail(label + ": the legacy join did not get a JUCQ");
+          }
+          Result<query::ResultSet> result = store.Execute(*prepared);
+          if (!result.ok()) {
+            return fail(label + ": Execute failed: " +
+                        result.status().ToString());
+          }
+          Answers got;
+          for (const query::Row& row : result->rows) {
+            got.insert(store.DecodeRow(row));
+          }
+          if (!agrees(expected[k], got, result->rows.size())) {
+            return fail(label + " differs from saturation");
           }
         }
       }

@@ -230,20 +230,6 @@ TEST(ExecOperatorTest, ProjectEmitsNullForUnboundColumns) {
   EXPECT_EQ(rows[1], (std::vector<Value>{4, 0, 3}));
 }
 
-TEST(ExecOperatorTest, UnionConcatenatesChildrenInOrder) {
-  VectorSource a(1, {{1}, {2}});
-  VectorSource b(1, {{3}});
-  auto u = std::make_unique<PlanNode>(OpKind::kUnion);
-  u->children.push_back(ScanAll(0, 1));
-  u->children.push_back(ScanAll(1, 1));
-  u->width = 1;
-  auto rows = Collect(*u, {&a, &b}, 1);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0], (std::vector<Value>{1}));
-  EXPECT_EQ(rows[1], (std::vector<Value>{2}));
-  EXPECT_EQ(rows[2], (std::vector<Value>{3}));
-}
-
 // ---------------------------------------------------------------------------
 // Planner properties.
 

@@ -306,6 +306,58 @@ TEST(ObsIntegrationTest, ProfileTreeRowsMatchAnswerCount) {
   }
 }
 
+// On the legacy join a reformulated BGP is a join of per-atom unions: the
+// profile shows one node per union atom with its alternatives, probes and
+// materialization, and each materialized key set counts once in
+// wdr.query.union_atom.materializations. Here the join scans (?x ex:p ex:o)
+// and probes the dead (?x a ex:C) per binding; once those probes outgrow
+// the union's estimate the union becomes a key set.
+TEST(ObsIntegrationTest, UnionAtomsReachProfileAndCounter) {
+  std::string turtle =
+      "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+      "@prefix ex: <http://ex.org/> .\n"
+      "ex:D rdfs:subClassOf ex:C .\n";
+  for (int i = 0; i < 100; ++i) {
+    const std::string who = "ex:i" + std::to_string(i);
+    turtle += who + " ex:p ex:o .\n" + who + " a " +
+              (i % 2 == 0 ? "ex:C" : "ex:D") + " .\n";
+  }
+  store::ReasoningStoreOptions options;
+  options.mode = store::ReasoningMode::kReformulation;
+  options.backend = rdf::StorageBackend::kOrdered;
+  options.encoding = false;
+  store::ReasoningStore store(options);
+  store.SetPlanMode(false);
+  ASSERT_TRUE(store.LoadTurtle(turtle).ok());
+  store.SetProfiling(true);
+
+  const MetricsSnapshot before = MetricsRegistry::Get().Snapshot();
+  store::QueryInfo info;
+  auto result = store.Query(
+      "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
+      "PREFIX ex: <http://ex.org/>\n"
+      "SELECT ?x WHERE { ?x ex:p ex:o . ?x rdf:type ex:C }",
+      &info);
+  const MetricsSnapshot after = MetricsRegistry::Get().Snapshot();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->rows.size(), 100u);
+  EXPECT_EQ(info.union_size, 3u);  // (?x p o) + (?x type C) + (?x type D)
+  EXPECT_EQ(
+      CounterDelta(before, after, "wdr.query.union_atom.materializations"),
+      1u);
+  ASSERT_NE(info.profile, nullptr);
+  const std::string tree = info.profile->Render();
+  EXPECT_NE(tree.find("reformulate (3 alternatives in a join of unions"),
+            std::string::npos)
+      << tree;
+  EXPECT_NE(tree.find("union(?x p o) [1 alternatives]"), std::string::npos)
+      << tree;
+  EXPECT_NE(tree.find("union(?x type C) [2 alternatives, 100 probes, "
+                      "materialized]"),
+            std::string::npos)
+      << tree;
+}
+
 TEST(ObsIntegrationTest, QueryHistogramsAccumulatePerMode) {
   MetricsSnapshot before = MetricsRegistry::Get().Snapshot();
   store::ReasoningStoreOptions options;
@@ -641,8 +693,9 @@ TEST(TraceTest, ExportWhileRecordingIsSafe) {
 }
 
 TEST(TraceTest, UcqProducesSingleTraceTreeNoOrphans) {
-  // A 16-subclass hierarchy reformulates ?x type Animal into a 17-branch
-  // union, one branch span each.
+  // A 16-subclass hierarchy reformulates ?x type Animal into 17 CQs: a
+  // 17-branch UCQ on the plan route, one union atom of 17 alternatives on
+  // the legacy join.
   std::string turtle =
       "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
       "@prefix ex: <http://ex.org/> .\n";
@@ -657,66 +710,72 @@ TEST(TraceTest, UcqProducesSingleTraceTreeNoOrphans) {
   store::ReasoningStore store(options);
   ASSERT_TRUE(store.LoadTurtle(turtle).ok());
 
-  ClearTrace();
-  SetTraceEnabled(true);
-  store::QueryInfo info;
-  auto result = store.Query(kAnimalQuery, &info);
-  SetTraceEnabled(false);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->rows.size(), 1u);
-  EXPECT_EQ(info.union_size, 17u);
+  for (bool plan : {false, true}) {
+    SCOPED_TRACE(plan ? "plan" : "legacy join");
+    store.SetPlanMode(plan);
+    ClearTrace();
+    SetTraceEnabled(true);
+    store::QueryInfo info;
+    auto result = store.Query(kAnimalQuery, &info);
+    SetTraceEnabled(false);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->rows.size(), 1u);
+    EXPECT_EQ(info.union_size, 17u);
 
-  std::vector<TraceEvent> events = TraceEvents();
-  ASSERT_FALSE(events.empty());
+    std::vector<TraceEvent> events = TraceEvents();
+    ASSERT_FALSE(events.empty());
 
-  // Exactly one root, and it is the store's query span.
-  std::vector<const TraceEvent*> roots;
-  std::unordered_set<uint64_t> span_ids;
-  for (const TraceEvent& e : events) {
-    span_ids.insert(e.span_id);
-    if (e.parent_id == 0) roots.push_back(&e);
-  }
-  ASSERT_EQ(roots.size(), 1u)
-      << "expected a single trace root, found " << roots.size();
-  const TraceEvent& root = *roots.front();
-  EXPECT_EQ(root.name, "wdr.store.query");
-  EXPECT_EQ(root.trace_id, root.span_id);
-
-  // Every span is in the root's trace and its parent link resolves.
-  size_t branch_spans = 0;
-  std::unordered_map<uint64_t, const TraceEvent*> by_id;
-  for (const TraceEvent& e : events) by_id[e.span_id] = &e;
-  for (const TraceEvent& e : events) {
-    EXPECT_EQ(e.trace_id, root.span_id) << e.name << " left the trace tree";
-    if (e.parent_id != 0) {
-      EXPECT_TRUE(span_ids.count(e.parent_id) > 0)
-          << e.name << " has a dangling parent";
+    // Exactly one root, and it is the store's query span.
+    std::vector<const TraceEvent*> roots;
+    std::unordered_set<uint64_t> span_ids;
+    for (const TraceEvent& e : events) {
+      span_ids.insert(e.span_id);
+      if (e.parent_id == 0) roots.push_back(&e);
     }
-    if (e.name == "wdr.query.branch") ++branch_spans;
-  }
-  // One span per union branch, all siblings under one enclosing span.
-  EXPECT_EQ(branch_spans, 17u);
-  uint64_t branch_parent = 0;
-  for (const TraceEvent& e : events) {
-    if (e.name != "wdr.query.branch") continue;
-    ASSERT_NE(by_id.find(e.parent_id), by_id.end());
-    if (branch_parent == 0) branch_parent = e.parent_id;
-    EXPECT_EQ(e.parent_id, branch_parent);
-  }
-  // Walking parent links from any span terminates at the root.
-  for (const TraceEvent& e : events) {
-    const TraceEvent* cursor = &e;
-    int hops = 0;
-    while (cursor->parent_id != 0 && hops < 64) {
-      auto it = by_id.find(cursor->parent_id);
-      ASSERT_NE(it, by_id.end());
-      cursor = it->second;
-      ++hops;
+    ASSERT_EQ(roots.size(), 1u)
+        << "expected a single trace root, found " << roots.size();
+    const TraceEvent& root = *roots.front();
+    EXPECT_EQ(root.name, "wdr.store.query");
+    EXPECT_EQ(root.trace_id, root.span_id);
+
+    // Every span is in the root's trace and its parent link resolves.
+    size_t branch_spans = 0;
+    std::unordered_map<uint64_t, const TraceEvent*> by_id;
+    for (const TraceEvent& e : events) by_id[e.span_id] = &e;
+    for (const TraceEvent& e : events) {
+      EXPECT_EQ(e.trace_id, root.span_id) << e.name << " left the trace tree";
+      if (e.parent_id != 0) {
+        EXPECT_TRUE(span_ids.count(e.parent_id) > 0)
+            << e.name << " has a dangling parent";
+      }
+      if (e.name == "wdr.query.branch") ++branch_spans;
     }
-    EXPECT_EQ(cursor->span_id, root.span_id)
-        << e.name << " does not reach the query root";
+    // One span per evaluated branch, all siblings under one enclosing span:
+    // the 17 CQs of the UCQ on the plan route, the one join of unions on
+    // the legacy join.
+    EXPECT_EQ(branch_spans, plan ? 17u : 1u);
+    uint64_t branch_parent = 0;
+    for (const TraceEvent& e : events) {
+      if (e.name != "wdr.query.branch") continue;
+      ASSERT_NE(by_id.find(e.parent_id), by_id.end());
+      if (branch_parent == 0) branch_parent = e.parent_id;
+      EXPECT_EQ(e.parent_id, branch_parent);
+    }
+    // Walking parent links from any span terminates at the root.
+    for (const TraceEvent& e : events) {
+      const TraceEvent* cursor = &e;
+      int hops = 0;
+      while (cursor->parent_id != 0 && hops < 64) {
+        auto it = by_id.find(cursor->parent_id);
+        ASSERT_NE(it, by_id.end());
+        cursor = it->second;
+        ++hops;
+      }
+      EXPECT_EQ(cursor->span_id, root.span_id)
+          << e.name << " does not reach the query root";
+    }
+    ClearTrace();
   }
-  ClearTrace();
 }
 
 // --- Query log --------------------------------------------------------------

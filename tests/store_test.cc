@@ -5,6 +5,7 @@
 #include "store/update_parser.h"
 
 #include "common/rng.h"
+#include "common/timer.h"
 #include "io/ntriples.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
@@ -506,6 +507,125 @@ TEST(ReasoningStorePropertyTest, ModesAgreeUnderUpdateStream) {
       ASSERT_EQ(sat_result->rows.size(), ref_result->rows.size())
           << "seed " << seed << " step " << step;
     }
+  }
+}
+
+// --- Reformulation as a join of per-atom unions ------------------------------
+
+// `persons` individuals spread over Person's subclasses and its domain, so
+// (?x a ex:Person) is a union of several alternatives.
+std::string PersonData(int persons) {
+  std::string turtle =
+      "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+      "@prefix ex: <http://ex.org/> .\n"
+      "ex:Student rdfs:subClassOf ex:Person .\n"
+      "ex:Professor rdfs:subClassOf ex:Person .\n"
+      "ex:teaches rdfs:domain ex:Professor .\n";
+  for (int i = 0; i < persons; ++i) {
+    const std::string who = "ex:p" + std::to_string(i);
+    turtle += i % 3 == 0   ? who + " a ex:Student .\n"
+              : i % 3 == 1 ? who + " a ex:Professor .\n"
+                           : who + " ex:teaches ex:c" +
+                                 std::to_string(i % 7) + " .\n";
+  }
+  return turtle;
+}
+
+TEST(JoinOfUnionsTest, LegacyJoinPreparesOneUnionPerAtom) {
+  ReasoningStoreOptions options;
+  options.mode = ReasoningMode::kReformulation;
+  options.encoding = false;
+  ReasoningStore store(options);
+  store.SetPlanMode(false);
+  ASSERT_TRUE(store.LoadTurtle(PersonData(6)).ok());
+  const char* query =
+      "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
+      "PREFIX ex: <http://ex.org/>\n"
+      "SELECT ?x ?y WHERE { ?x rdf:type ex:Person . ?y rdf:type ex:Person }";
+  auto prepared = store.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  ASSERT_TRUE(prepared->jucq.has_value());
+  ASSERT_EQ(prepared->jucq->branches.size(), 1u);
+  // Person, Student, Professor, and (?x teaches _) per atom: 4 + 4, where
+  // the UCQ has 4 x 4 combinations.
+  EXPECT_EQ(prepared->union_size, 8u);
+  EXPECT_EQ(prepared->query.size(), 8u);
+  QueryInfo info;
+  auto result = store.Execute(*prepared, &info);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->rows.size(), 36u);
+  EXPECT_EQ(info.union_size, 8u);
+
+  // The plan route keeps the whole-query UCQ.
+  ReadOptions plan;
+  plan.plan = true;
+  auto planned = store.Prepare(query, plan);
+  ASSERT_TRUE(planned.ok());
+  EXPECT_FALSE(planned->jucq.has_value());
+  EXPECT_EQ(planned->union_size, 16u);
+  auto planned_result = store.Execute(*planned);
+  ASSERT_TRUE(planned_result.ok());
+  EXPECT_EQ(planned_result->rows.size(), 36u);
+}
+
+// A reformulated cross product would answer 9M rows; its deadline stops it
+// within twice the timeout, with DeadlineExceeded and no partial rows.
+TEST(JoinOfUnionsTest, CrossProductHonoursDeadline) {
+  ReasoningStoreOptions options;
+  options.mode = ReasoningMode::kReformulation;
+  options.encoding = false;
+  ReasoningStore store(options);
+  store.SetPlanMode(false);
+  ASSERT_TRUE(store.LoadTurtle(PersonData(3000)).ok());
+  constexpr uint64_t kTimeoutNanos = 50'000'000;  // 50 ms
+  ReadOptions read;
+  const uint64_t start = SteadyNowNanos();
+  read.deadline_nanos = start + kTimeoutNanos;
+  auto prepared = store.Prepare(
+      "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
+      "PREFIX ex: <http://ex.org/>\n"
+      "SELECT ?x ?y WHERE { ?x rdf:type ex:Person . ?y rdf:type ex:Person }",
+      read);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  ASSERT_TRUE(prepared->jucq.has_value());
+  auto result = store.Execute(*prepared);
+  const uint64_t elapsed = SteadyNowNanos() - start;
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(elapsed, 2 * kTimeoutNanos);
+}
+
+// A dead atom keyed on one variable materializes its union into a key set
+// once its probes outgrow the union's estimate, unless the union has more
+// than query::kMaxUnionSetKeys keys: then it keeps probing the store.
+TEST(JoinOfUnionsTest, MaterializedSetStaysWithinItsCap) {
+  for (const size_t keys : {size_t{200}, query::kMaxUnionSetKeys + 1000}) {
+    std::string nt;
+    for (size_t i = 0; i < keys; ++i) {
+      const std::string who = "<http://ex.org/i" + std::to_string(i) + ">";
+      nt += who + " <http://ex.org/p> <http://ex.org/o> .\n" + who +
+            " <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+            "<http://ex.org/C> .\n";
+    }
+    ReasoningStoreOptions options;
+    options.mode = ReasoningMode::kReformulation;
+    options.backend = rdf::StorageBackend::kOrdered;
+    options.encoding = false;
+    ReasoningStore store(options);
+    store.SetPlanMode(false);
+    ASSERT_TRUE(store.LoadNTriples(nt).ok());
+    const obs::MetricsSnapshot before = obs::MetricsRegistry::Get().Snapshot();
+    auto result = store.Query(
+        "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
+        "PREFIX ex: <http://ex.org/>\n"
+        "SELECT ?x WHERE { ?x ex:p ex:o . ?x rdf:type ex:C }");
+    const obs::MetricsSnapshot after = obs::MetricsRegistry::Get().Snapshot();
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->rows.size(), keys);
+    const char* name = "wdr.query.union_atom.materializations";
+    EXPECT_EQ(after.counter(name) - before.counter(name),
+              keys <= query::kMaxUnionSetKeys ? 1u : 0u)
+        << keys << " keys";
   }
 }
 
