@@ -92,9 +92,7 @@ int main(int argc, char** argv) {
     });
     wdr::bench::RepStats t_ref = wdr::bench::TimeReps(1, kReps, [&] {
       auto jucq = reformulator.ReformulateAtoms(q);
-      n_ref = jucq.ok() && jucq->has_value()
-                  ? base_eval.Evaluate(**jucq).rows.size()
-                  : 0;
+      n_ref = jucq.ok() ? base_eval.Evaluate(*jucq).rows.size() : 0;
     });
     wdr::bench::RepStats t_bwd = wdr::bench::TimeReps(1, kReps, [&] {
       n_bwd = backward_eval.Evaluate(q).rows.size();

@@ -214,6 +214,24 @@ bool HasRangeTerm(const TriplePattern& a) {
   return a.s.is_range() || a.p.is_range() || a.o.is_range();
 }
 
+// Matches one position of a pattern against a triple's `value`, binding an
+// unbound variable (recorded in `bound_here` for undo) and enforcing
+// repeated-variable consistency (e.g. ?x ?p ?x). Range terms never bind:
+// the scan plan already guarantees the value lies inside the range.
+bool TryBind(const PatternTerm& term, TermId value,
+             std::vector<TermId>& bindings, VarId (&bound_here)[3],
+             size_t& bound_count) {
+  if (term.is_const()) return term.id == value;
+  if (term.is_range()) return true;
+  TermId& slot = bindings[term.var];
+  if (slot == kNullTermId) {
+    slot = value;
+    bound_here[bound_count++] = term.var;
+    return true;
+  }
+  return slot == value;
+}
+
 // Recursive bound-first join over the atoms of `q`. Store is any type
 // with the StoreView Match/EstimateCount surface (the storage seam itself
 // or the federation's UnionStore).
@@ -310,14 +328,13 @@ class BgpJoin {
         return false;
       }
       if (as) ++as->triples;
-      // Bind unbound variable positions, enforcing repeated-variable
-      // consistency (e.g. ?x ?p ?x). At most three variables bind per
-      // triple, so the undo log is a fixed array, not an allocation.
+      // At most three variables bind per triple, so the undo log is a
+      // fixed array, not an allocation.
       VarId bound_here[3];
       size_t bound_count = 0;
-      bool ok = TryBind(atom.s, t.s, bound_here, bound_count) &&
-                TryBind(atom.p, t.p, bound_here, bound_count) &&
-                TryBind(atom.o, t.o, bound_here, bound_count);
+      bool ok = TryBind(atom.s, t.s, bindings_, bound_here, bound_count) &&
+                TryBind(atom.p, t.p, bindings_, bound_here, bound_count) &&
+                TryBind(atom.o, t.o, bindings_, bound_here, bound_count);
       if (ok) {
         if (as) ++as->rows;
         Recurse(emit);
@@ -447,21 +464,6 @@ class BgpJoin {
     } else {
       return emit(bindings_);
     }
-  }
-
-  bool TryBind(const PatternTerm& term, TermId value, VarId (&bound_here)[3],
-               size_t& bound_count) {
-    if (term.is_const()) return term.id == value;
-    // Range terms never bind: the scan plan already guarantees the value
-    // lies inside the range.
-    if (term.is_range()) return true;
-    TermId& slot = bindings_[term.var];
-    if (slot == kNullTermId) {
-      slot = value;
-      bound_here[bound_count++] = term.var;
-      return true;
-    }
-    return slot == value;
   }
 
   const Store& store_;
@@ -1047,25 +1049,23 @@ ResultSet EvaluateUnionQuery(const Store& store, const UnionQuery& q,
 // ---------------------------------------------------------------------------
 
 // Per-union-atom statistics of one profiled JUCQ join, indexed by written
-// atom position. `nanos` is inclusive, as in AtomStats.
-struct UnionAtomStats {
-  uint64_t scans = 0;    // cursor opens
-  uint64_t triples = 0;  // triples enumerated
-  uint64_t rows = 0;     // distinct bindings passed to the rest of the join
-  uint64_t probes = 0;   // existence probes, set lookups included
-  uint64_t nanos = 0;
+// atom position. `rows` counts the distinct bindings passed to the rest of
+// the join.
+struct UnionAtomStats : AtomStats {
+  uint64_t probes = 0;  // existence probes, set lookups included
   bool materialized = false;
 };
 
-// Recursive join over the union atoms of one JoinOfUnions. At each step it
-// takes, in this order:
+// Recursive join over the union atoms of one JoinOfUnions. An atom's
+// alternatives that differ only in presets share one scan. At each step the
+// join takes, in this order:
 //   - a dead atom: one whose still-unbound variables are neither projected
 //     nor used by a remaining atom. It only filters, so it is probed for
-//     existence (alternatives in turn, stopping at the first match) and the
+//     existence (its scans in turn, stopping at the first match) and the
 //     join goes on once. Answers are de-duplicated at the end, so the
 //     multiplicity a full enumeration would add is never needed;
 //   - else, an atom sharing a bound variable, the cheapest under the
-//     current bindings (sum of its alternatives' estimates) when several do;
+//     current bindings (sum of its scans' estimates) when several do;
 //   - else, the atom with the smallest union estimate, computed once per
 //     evaluation.
 // A live atom enumerates every alternative and passes each distinct
@@ -1073,8 +1073,8 @@ struct UnionAtomStats {
 // alternatives (or several fresh-variable values) share do not repeat the
 // rest of the join.
 //
-// Ski rental on dead atoms keyed on one bound variable: once the probes'
-// alternatives exceed the union's estimated size, the union is enumerated
+// Ski rental on dead atoms keyed on one bound variable: once the scans its
+// probes issued exceed the union's estimated size, the union is enumerated
 // once into a key set (at most kMaxUnionSetKeys keys; a larger union keeps
 // probing) and later probes are lookups. That costs at most about twice
 // the better of the two strategies, with no tuning constant. The sets live
@@ -1109,6 +1109,9 @@ class UnionAtomJoin {
     initial_ = bindings_;
     remaining_.resize(q_.atoms().size());
     for (size_t i = 0; i < remaining_.size(); ++i) remaining_[i] = i;
+    // One scan copy per join depth: a nested activation must not clobber
+    // (or reallocate) the copy its parent is still joining from.
+    if (eager_) buffers_.resize(q_.atoms().size());
     Recurse(emit);
   }
 
@@ -1123,11 +1126,10 @@ class UnionAtomJoin {
   enum class SetState : uint8_t { kProbing, kMaterialized, kTooLarge };
   struct AtomState {
     size_t union_estimate = SIZE_MAX;  // SIZE_MAX = not computed yet
-    uint64_t tried = 0;  // alternatives tried by existence probes
+    uint64_t tried = 0;  // scans issued by existence probes
     SetState set_state = SetState::kProbing;
     VarId key = 0;  // the set's key variable
     std::optional<exec::DedupTable> keys;
-    int8_t exists = -1;  // cached probe of an atom with no bound variable
   };
 
   template <typename EmitFn>
@@ -1210,26 +1212,26 @@ class UnionAtomJoin {
     return true;
   }
 
-  // True when some rewriting of `alt` agrees with `bindings`.
-  static bool AnyCompatible(const AtomAlternative& alt,
+  // True when some alternative of `scan` agrees with `bindings`.
+  static bool AnyCompatible(const AtomScan& scan,
                             const std::vector<TermId>& bindings) {
-    for (const Presets& presets : alt.presets) {
+    for (const Presets& presets : scan.presets) {
       if (Compatible(presets, bindings)) return true;
     }
     return false;
   }
 
-  // Sum of the alternatives' store estimates under `bindings`; an
-  // alternative none of whose rewritings agrees with them contributes
-  // nothing.
+  // Sum of the scans' store estimates under `bindings`; a scan none of
+  // whose alternatives agrees with them contributes nothing.
   size_t Estimate(size_t index, const std::vector<TermId>& bindings) const {
     size_t total = 0;
-    for (const AtomAlternative& alt : q_.atoms()[index].alternatives) {
-      if (!AnyCompatible(alt, bindings)) continue;
-      const TriplePattern& a = alt.pattern;
+    for (const AtomScan& scan : q_.atoms()[index].scans) {
+      if (!AnyCompatible(scan, bindings)) continue;
+      const TriplePattern& a = scan.pattern;
       total += HasRangeTerm(a)
                    ? store_.EstimateCountRange(rdf::PlanRangeScan(
-                         ResolveRange(a.s, bindings), ResolveRange(a.p, bindings),
+                         ResolveRange(a.s, bindings),
+                         ResolveRange(a.p, bindings),
                          ResolveRange(a.o, bindings)))
                    : store_.EstimateCount(Resolve(a.s, bindings),
                                           Resolve(a.p, bindings),
@@ -1248,19 +1250,19 @@ class UnionAtomJoin {
     return st.union_estimate;
   }
 
-  // Enumerates the rewritings of `alt` consistent with the current
-  // bindings: one scan of the pattern, then each agreeing rewriting per
+  // Enumerates the alternatives of `scan` consistent with the current
+  // bindings: one walk of the pattern, then each agreeing alternative per
   // triple. Around each call of `fn()` the triple's unbound positions and
-  // the rewriting's presets are bound; `fn` returns false to stop the
-  // scan. Cancellation is probed per enumerated triple and sets stopped_.
+  // the alternative's presets are bound; `fn` returns false to stop the
+  // walk. Cancellation is probed per enumerated triple and sets stopped_.
   template <typename Fn>
-  void ForEachMatch(const AtomAlternative& alt, UnionAtomStats* as, Fn&& fn,
+  void ForEachMatch(const AtomScan& scan, UnionAtomStats* as, Fn&& fn,
                     bool buffered = false) {
-    if (!AnyCompatible(alt, bindings_)) return;
-    const TriplePattern& a = alt.pattern;
-    // With presets bound per rewriting: false once `fn` asks to stop.
-    auto each_rewriting = [&] {
-      for (const Presets& presets : alt.presets) {
+    if (!AnyCompatible(scan, bindings_)) return;
+    const TriplePattern& a = scan.pattern;
+    // With presets bound per alternative: false once `fn` asks to stop.
+    auto each_alternative = [&] {
+      for (const Presets& presets : scan.presets) {
         VarId preset_here[3];
         size_t preset_count = 0;
         bool agree = true;
@@ -1282,60 +1284,57 @@ class UnionAtomJoin {
       }
       return true;
     };
-    {
-      auto process = [&](const Triple& t) {
+    auto process = [&](const Triple& t) {
+      if (cancel_ != nullptr && cancel_->Expired()) {
+        stopped_ = true;
+        return false;
+      }
+      if (as != nullptr) ++as->triples;
+      VarId bound_here[3];
+      size_t bound_count = 0;
+      bool keep = true;
+      if (TryBind(a.s, t.s, bindings_, bound_here, bound_count) &&
+          TryBind(a.p, t.p, bindings_, bound_here, bound_count) &&
+          TryBind(a.o, t.o, bindings_, bound_here, bound_count)) {
+        keep = each_alternative();
+      }
+      while (bound_count > 0) {
+        bindings_[bound_here[--bound_count]] = kNullTermId;
+      }
+      return keep && !stopped_;
+    };
+    auto walk = [&](auto&& sink) {
+      if (as != nullptr) ++as->scans;
+      if (HasRangeTerm(a)) {
+        store_.MatchPlan(
+            rdf::PlanRangeScan(ResolveRange(a.s, bindings_),
+                               ResolveRange(a.p, bindings_),
+                               ResolveRange(a.o, bindings_)),
+            sink);
+      } else {
+        store_.Match(Resolve(a.s, bindings_), Resolve(a.p, bindings_),
+                     Resolve(a.o, bindings_), sink);
+      }
+    };
+    if (buffered) {
+      // Read the whole scan, then join from the flat copy: the join's
+      // hash probes no longer interleave with the index walk.
+      std::vector<Triple>& buffer =
+          buffers_[q_.atoms().size() - remaining_.size() - 1];
+      buffer.clear();
+      walk([&](const Triple& t) {
         if (cancel_ != nullptr && cancel_->Expired()) {
           stopped_ = true;
           return false;
         }
-        if (as != nullptr) ++as->triples;
-        VarId bound_here[3];
-        size_t bound_count = 0;
-        bool keep = true;
-        if (TryBind(a.s, t.s, bound_here, bound_count) &&
-            TryBind(a.p, t.p, bound_here, bound_count) &&
-            TryBind(a.o, t.o, bound_here, bound_count)) {
-          keep = each_rewriting();
-        }
-        while (bound_count > 0) {
-          bindings_[bound_here[--bound_count]] = kNullTermId;
-        }
-        return keep && !stopped_;
-      };
-      auto scan = [&](auto&& sink) {
-        if (as != nullptr) ++as->scans;
-        if (HasRangeTerm(a)) {
-          store_.MatchPlan(
-              rdf::PlanRangeScan(ResolveRange(a.s, bindings_),
-                                 ResolveRange(a.p, bindings_),
-                                 ResolveRange(a.o, bindings_)),
-              sink);
-        } else {
-          store_.Match(Resolve(a.s, bindings_), Resolve(a.p, bindings_),
-                       Resolve(a.o, bindings_), sink);
-        }
-      };
-      if (buffered) {
-        // Read the whole scan, then join from the flat copy: the join's
-        // hash probes no longer interleave with the index walk.
-        const size_t depth = q_.atoms().size() - remaining_.size() - 1;
-        if (buffers_.size() <= depth) buffers_.resize(depth + 1);
-        std::vector<Triple>& buffer = buffers_[depth];
-        buffer.clear();
-        scan([&](const Triple& t) {
-          if (cancel_ != nullptr && cancel_->Expired()) {
-            stopped_ = true;
-            return false;
-          }
-          buffer.push_back(t);
-          return true;
-        });
-        for (const Triple& t : buffer) {
-          if (stopped_ || !process(t)) break;
-        }
-      } else {
-        scan(process);
+        buffer.push_back(t);
+        return true;
+      });
+      for (const Triple& t : buffer) {
+        if (stopped_ || !process(t)) break;
       }
+    } else {
+      walk(process);
     }
   }
 
@@ -1352,18 +1351,18 @@ class UnionAtomJoin {
     // One alternative without existentials or ranges maps store triples
     // one-to-one onto bindings: nothing to de-duplicate. Neither is there
     // for the last atom, whose bindings go straight to the answer table.
-    const AtomAlternative& first = atom.alternatives.front();
+    const AtomScan& first = atom.scans.front();
     const bool may_repeat =
-        atom.alternatives.size() > 1 || first.presets.size() > 1 ||
+        atom.scans.size() > 1 || first.presets.size() > 1 ||
         HasRangeTerm(first.pattern) ||
         VarCount(first.pattern) >
             atom.vars.size() - first.presets.front().size();
     std::optional<exec::DedupTable> seen;
     if (may_repeat && !remaining_.empty()) seen.emplace(width);
     exec::Value key[3];
-    for (const AtomAlternative& alt : atom.alternatives) {
+    for (const AtomScan& scan : atom.scans) {
       if (stopped_) return;
-      ForEachMatch(alt, as, [&] {
+      ForEachMatch(scan, as, [&] {
         if (seen.has_value()) {
           for (size_t i = 0; i < width; ++i) key[i] = bindings_[unbound[i]];
           if (!seen->Insert(key)) {
@@ -1405,12 +1404,8 @@ class UnionAtomJoin {
     }
     if (as != nullptr) ++as->probes;
     bool found;
-    if (bound == 0) {
-      // Independent of the bindings: probe once per evaluation.
-      if (st.exists < 0) st.exists = AnyMatch(index, as) ? 1 : 0;
-      found = st.exists == 1;
-    } else if (bound == 1 && st.set_state == SetState::kMaterialized &&
-               st.key == key) {
+    if (bound == 1 && st.set_state == SetState::kMaterialized &&
+        st.key == key) {
       found = st.keys->Contains(&bindings_[key]);
     } else {
       found = AnyMatch(index, as);
@@ -1427,9 +1422,9 @@ class UnionAtomJoin {
   bool AnyMatch(size_t index, UnionAtomStats* as) {
     AtomState& st = state_[index];
     bool found = false;
-    for (const AtomAlternative& alt : q_.atoms()[index].alternatives) {
+    for (const AtomScan& scan : q_.atoms()[index].scans) {
       ++st.tried;
-      ForEachMatch(alt, as, [&] {
+      ForEachMatch(scan, as, [&] {
         found = true;
         return false;
       });
@@ -1448,8 +1443,8 @@ class UnionAtomJoin {
     const TermId saved = bindings_[key];
     bindings_[key] = kNullTermId;
     bool too_large = false;
-    for (const AtomAlternative& alt : q_.atoms()[index].alternatives) {
-      ForEachMatch(alt, as, [&] {
+    for (const AtomScan& scan : q_.atoms()[index].scans) {
+      ForEachMatch(scan, as, [&] {
         keys.Insert(&bindings_[key]);
         too_large = keys.size() > kMaxUnionSetKeys;
         return !too_large;
@@ -1463,19 +1458,6 @@ class UnionAtomJoin {
     st.set_state = SetState::kMaterialized;
     ++materializations_;
     if (as != nullptr) as->materialized = true;
-  }
-
-  bool TryBind(const PatternTerm& term, TermId value, VarId (&bound_here)[3],
-               size_t& bound_count) {
-    if (term.is_const()) return term.id == value;
-    if (term.is_range()) return true;  // the scan plan enforces the range
-    TermId& slot = bindings_[term.var];
-    if (slot == kNullTermId) {
-      slot = value;
-      bound_here[bound_count++] = term.var;
-      return true;
-    }
-    return slot == value;
   }
 
   const StoreView& store_;
@@ -1502,7 +1484,7 @@ std::string UnionAtomLabel(const BgpQuery& q, const rdf::Dictionary* dict,
   std::string label = "union(" + PatternTermLabel(q, dict, atom.written.s) +
                       " " + PatternTermLabel(q, dict, atom.written.p) + " " +
                       PatternTermLabel(q, dict, atom.written.o) + ") [" +
-                      std::to_string(atom.rewritings()) + " alternatives";
+                      std::to_string(atom.alternatives()) + " alternatives";
   if (stats.probes > 0) {
     label += ", " + std::to_string(stats.probes) + " probes";
   }

@@ -111,7 +111,9 @@ BgpQuery AtomQuery(const BgpQuery& q, size_t index) {
   const std::vector<VarId> vars = AtomVars(atom);
   BgpQuery out;
   for (size_t i = 0; i < vars.size(); ++i) {
-    out.Project(out.AddVar("a" + std::to_string(i)));
+    std::string name(1, 'a');
+    name += std::to_string(i);
+    out.Project(out.AddVar(name));
   }
   auto local = [&](const PatternTerm& t) {
     if (!t.is_var()) return t;
@@ -156,11 +158,11 @@ bool JoinOfUnions::AddAtom(const UnionQuery& rewriting) {
       return false;
     }
     auto same = std::find_if(
-        unioned.alternatives.begin(), unioned.alternatives.end(),
-        [&](const AtomAlternative& alt) { return alt.pattern == pattern; });
-    if (same == unioned.alternatives.end()) {
-      unioned.alternatives.push_back(AtomAlternative{pattern, {}});
-      same = unioned.alternatives.end() - 1;
+        unioned.scans.begin(), unioned.scans.end(),
+        [&](const AtomScan& scan) { return scan.pattern == pattern; });
+    if (same == unioned.scans.end()) {
+      unioned.scans.push_back(AtomScan{pattern, {}});
+      same = unioned.scans.end() - 1;
     }
     same->presets.push_back(std::move(presets));
   }
@@ -169,21 +171,21 @@ bool JoinOfUnions::AddAtom(const UnionQuery& rewriting) {
   return true;
 }
 
-size_t UnionAtom::rewritings() const {
+size_t UnionAtom::alternatives() const {
   size_t total = 0;
-  for (const AtomAlternative& alt : alternatives) total += alt.presets.size();
+  for (const AtomScan& scan : scans) total += scan.presets.size();
   return total;
 }
 
-size_t JoinOfUnions::rewritings() const {
+size_t JoinOfUnions::alternatives() const {
   size_t total = 0;
-  for (const UnionAtom& atom : atoms_) total += atom.rewritings();
+  for (const UnionAtom& atom : atoms_) total += atom.alternatives();
   return total;
 }
 
-size_t JucqQuery::rewritings() const {
+size_t JucqQuery::alternatives() const {
   size_t total = 0;
-  for (const JoinOfUnions& branch : branches) total += branch.rewritings();
+  for (const JoinOfUnions& branch : branches) total += branch.alternatives();
   return total;
 }
 

@@ -180,26 +180,27 @@ BgpQuery AtomQuery(const BgpQuery& q, size_t index);
 // in the rewritten pattern.
 using Presets = std::vector<std::pair<VarId, TermId>>;
 
-// The rewritings of a single atom that share one triple pattern (over the
-// JoinOfUnions' variable space): one scan serves them all.
-struct AtomAlternative {
+// The alternatives (rewritings) of a single atom that share one triple
+// pattern over the JoinOfUnions' variable space: one scan serves them all.
+struct AtomScan {
   TriplePattern pattern;
-  // One entry per rewriting; a single empty entry when nothing was fixed.
+  // One entry per alternative; a single empty entry when nothing was fixed.
   std::vector<Presets> presets;
 };
 
-// One atom of a BGP evaluated as the union of its rewritings.
+// One atom of a BGP evaluated as the union of its alternatives, the
+// rewritings of the atom.
 struct UnionAtom {
   TriplePattern written;  // the atom as the query wrote it
-  // The atom's distinct variables. Every rewriting binds each of them,
+  // The atom's distinct variables. Every alternative binds each of them,
   // through its pattern or a preset; fresh variables a rewriting introduced
   // (the _ref existentials of domain/range rules) are local to their
   // alternative and listed nowhere.
   std::vector<VarId> vars;
-  std::vector<AtomAlternative> alternatives;
+  std::vector<AtomScan> scans;
 
-  // Rewritings: presets summed over alternatives.
-  size_t rewritings() const;
+  // Presets summed over scans.
+  size_t alternatives() const;
 };
 
 // A BGP evaluated as a join of per-atom unions (a JUCQ, the cover-based
@@ -218,16 +219,16 @@ class JoinOfUnions {
   // order): `rewriting` is Reformulate(AtomQuery(written(), index)).
   // Rewriting variables map onto the written query's by position; fresh
   // ones get slots past var_count() of the written query. False, adding
-  // nothing, when an alternative leaves one of the atom's variables
-  // unbound: the join could not keep the atom's answers then.
+  // nothing, when an alternative leaves one of the atom's variables unbound:
+  // the join could not keep the atom's answers then.
   bool AddAtom(const UnionQuery& rewriting);
 
   const BgpQuery& written() const { return written_; }
   // Variable slots: the written query's, then the fresh ones.
   size_t var_count() const { return var_count_; }
   const std::vector<UnionAtom>& atoms() const { return atoms_; }
-  // Rewritings summed over atoms: the evaluated union size.
-  size_t rewritings() const;
+  // Alternatives summed over atoms: the evaluated union size.
+  size_t alternatives() const;
 
  private:
   BgpQuery written_;
@@ -246,10 +247,11 @@ struct JucqQuery {
 
   // Values per answer row (0 without branches).
   size_t width() const {
-    return branches.empty() ? 0 : branches.front().written().projection().size();
+    return branches.empty() ? 0
+                            : branches.front().written().projection().size();
   }
-  // Rewritings summed over every atom of every branch.
-  size_t rewritings() const;
+  // Alternatives summed over every atom of every branch.
+  size_t alternatives() const;
 };
 
 }  // namespace wdr::query

@@ -425,7 +425,7 @@ Result<UnionQuery> Reformulator::Reformulate(const UnionQuery& q,
   return result;
 }
 
-Result<std::optional<query::JucqQuery>> Reformulator::ReformulateAtoms(
+Result<query::JucqQuery> Reformulator::ReformulateAtoms(
     const UnionQuery& q, UnionQuery* alternatives,
     ReformulationStats* stats) const {
   query::JucqQuery jucq;
@@ -439,7 +439,10 @@ Result<std::optional<query::JucqQuery>> Reformulator::ReformulateAtoms(
       ReformulationStats atom;
       WDR_ASSIGN_OR_RETURN(UnionQuery rewriting,
                            Reformulate(query::AtomQuery(branch, i), &atom));
-      if (!join.AddAtom(rewriting)) return std::optional<query::JucqQuery>();
+      if (!join.AddAtom(rewriting)) {
+        return InternalError("a rewriting of atom " + std::to_string(i) +
+                             " leaves one of its variables unbound");
+      }
       total.conjunctive_queries += atom.conjunctive_queries;
       total.total_atoms += atom.total_atoms;
       total.rewrite_steps += atom.rewrite_steps;
@@ -454,7 +457,7 @@ Result<std::optional<query::JucqQuery>> Reformulator::ReformulateAtoms(
     jucq.branches.push_back(std::move(join));
   }
   if (stats != nullptr) *stats = total;
-  return std::optional<query::JucqQuery>(std::move(jucq));
+  return jucq;
 }
 
 size_t CloseSchema(rdf::Graph& graph, const schema::Vocabulary& vocab) {

@@ -2,7 +2,6 @@
 #define WDR_REFORMULATION_REFORMULATOR_H_
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -120,9 +119,10 @@ class Reformulator {
   // atom's shape, see query::AtomQuery) into a join of per-atom unions.
   // `alternatives`, when non-null, receives the atoms' rewritings back to
   // back, and `stats` sums the per-atom ones (conjunctive_queries is then
-  // the alternatives' count). Nullopt when an atom's rewriting cannot join
-  // (query::JoinOfUnions::AddAtom); Reformulate(q) is the answer then.
-  Result<std::optional<query::JucqQuery>> ReformulateAtoms(
+  // the number of rewritings). Internal error when a rewriting leaves one
+  // of its atom's variables unbound (query::JoinOfUnions::AddAtom): no
+  // rewriting rule does.
+  Result<query::JucqQuery> ReformulateAtoms(
       const query::UnionQuery& q, query::UnionQuery* alternatives = nullptr,
       ReformulationStats* stats = nullptr) const;
 

@@ -672,21 +672,14 @@ Result<PreparedQuery> ReasoningStore::PrepareInternal(
     double rewrite_seconds = 0;
     Status rewritten = [&]() -> Status {
       ScopedTimer<> rewrite_timer(rewrite_seconds);
-      if (!eval.plan) {
-        query::UnionQuery alternatives;
-        alternatives.SetAsk(q.ask());
-        alternatives.SetLimit(q.limit());
-        alternatives.SetOffset(q.offset());
+      if (eval.plan) {
+        WDR_ASSIGN_OR_RETURN(prepared.query,
+                             reformulator.Reformulate(q, &ref_stats));
+      } else {
         WDR_ASSIGN_OR_RETURN(
             prepared.jucq,
-            reformulator.ReformulateAtoms(q, &alternatives, &ref_stats));
-        if (prepared.jucq.has_value()) {
-          prepared.query = std::move(alternatives);
-          return Status::Ok();
-        }
+            reformulator.ReformulateAtoms(q, &prepared.query, &ref_stats));
       }
-      WDR_ASSIGN_OR_RETURN(prepared.query,
-                           reformulator.Reformulate(q, &ref_stats));
       return Status::Ok();
     }();
     WDR_RETURN_IF_ERROR(rewritten);

@@ -144,7 +144,7 @@ struct PreparedQuery {
   // The parsed query; in kReformulation mode its reformulation. With plan
   // mode on that is the whole-query UCQ, which Execute evaluates. On the
   // legacy join it is every atom's rewriting back to back, one single-atom
-  // CQ per alternative of `jucq`: what the union atoms scan, not a query
+  // CQ per alternative of `jucq`'s union atoms: what they scan, not a query
   // to evaluate on its own.
   query::UnionQuery query;
   // kReformulation on the legacy join: the query as a join of per-atom
