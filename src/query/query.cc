@@ -177,16 +177,4 @@ size_t UnionAtom::alternatives() const {
   return total;
 }
 
-size_t JoinOfUnions::alternatives() const {
-  size_t total = 0;
-  for (const UnionAtom& atom : atoms_) total += atom.alternatives();
-  return total;
-}
-
-size_t JucqQuery::alternatives() const {
-  size_t total = 0;
-  for (const JoinOfUnions& branch : branches) total += branch.alternatives();
-  return total;
-}
-
 }  // namespace wdr::query

@@ -227,8 +227,6 @@ class JoinOfUnions {
   // Variable slots: the written query's, then the fresh ones.
   size_t var_count() const { return var_count_; }
   const std::vector<UnionAtom>& atoms() const { return atoms_; }
-  // Alternatives summed over atoms: the evaluated union size.
-  size_t alternatives() const;
 
  private:
   BgpQuery written_;
@@ -250,8 +248,6 @@ struct JucqQuery {
     return branches.empty() ? 0
                             : branches.front().written().projection().size();
   }
-  // Alternatives summed over every atom of every branch.
-  size_t alternatives() const;
 };
 
 }  // namespace wdr::query
