@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
       n_sat = closure_eval.Evaluate(q).rows.size();
     });
     wdr::bench::RepStats t_ref = wdr::bench::TimeReps(1, kReps, [&] {
-      auto jucq = reformulator.ReformulateAtoms(q);
-      n_ref = jucq.ok() ? base_eval.Evaluate(*jucq).rows.size() : 0;
+      auto joins = reformulator.ReformulateAtoms(q);
+      n_ref = joins.ok() ? base_eval.Evaluate(q, *joins).rows.size() : 0;
     });
     wdr::bench::RepStats t_bwd = wdr::bench::TimeReps(1, kReps, [&] {
       n_bwd = backward_eval.Evaluate(q).rows.size();

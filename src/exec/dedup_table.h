@@ -69,22 +69,6 @@ class DedupTable {
     return true;
   }
 
-  // True when the width() values at `row` were inserted before.
-  bool Contains(const Value* row) const {
-    if (width_ == 0) return size_ > 0;
-    if (slots_.empty()) return false;
-    const uint32_t hash = static_cast<uint32_t>(Hash(row) >> 32);
-    for (size_t i = hash & mask_; slots_[i].row != kEmpty;
-         i = (i + 1) & mask_) {
-      if (slots_[i].hash == hash &&
-          std::memcmp(this->row(slots_[i].row), row,
-                      width_ * sizeof(Value)) == 0) {
-        return true;
-      }
-    }
-    return false;
-  }
-
  private:
   struct Slot {
     uint32_t hash;  // upper half of the row's 64-bit hash

@@ -750,18 +750,13 @@ void ExecutePlannedBranch(const Store& store, const exec::CompiledPlan& plan,
       profile);
 }
 
-// Publishes the rows one evaluation dropped as duplicates: one counter add
-// per evaluation, never one per row.
+// Publishes the rows a dedup table dropped as duplicates: one counter add
+// per table and evaluation, never one per row.
 void RecordDuplicates(uint64_t duplicates, const EvaluatorOptions& options) {
   WDR_COUNTER_ADD("wdr.query.duplicate_rows", duplicates);
   if (options.collect != nullptr) {
     options.collect->duplicate_rows += duplicates;
   }
-}
-
-void RecordDuplicates(const exec::DedupTable& seen,
-                      const EvaluatorOptions& options) {
-  RecordDuplicates(seen.duplicates(), options);
 }
 
 Row ProjectRow(const BgpQuery& q, const std::vector<TermId>& bindings) {
@@ -811,7 +806,7 @@ ResultSet EvaluateBgp(const Store& store, const BgpQuery& q,
                                }
                                return !probe.Expired();
                              });
-        RecordDuplicates(seen, options);
+        RecordDuplicates(seen.duplicates(), options);
       } else {
         ExecutePlannedBranch(store, plan, options, /*cache=*/nullptr,
                              /*eager=*/true, profile, scratch, [&](Row& row) {
@@ -841,7 +836,7 @@ ResultSet EvaluateBgp(const Store& store, const BgpQuery& q,
       ProjectRowInto(q, bindings, scratch);
       if (seen.Insert(scratch.data())) result.rows.push_back(scratch);
     });
-    RecordDuplicates(seen, options);
+    RecordDuplicates(seen.duplicates(), options);
   } else {
     join.Run([&](const std::vector<TermId>& bindings) {
       result.rows.push_back(ProjectRow(q, bindings));
@@ -857,32 +852,11 @@ ResultSet EvaluateBgp(const Store& store, const BgpQuery& q,
 
 // Distinct rows needed before enumeration may stop: one for ASK,
 // offset + limit when a LIMIT is set, otherwise unbounded.
-size_t MaxRowsNeeded(bool ask, size_t limit, size_t offset) {
-  if (ask) return 1;
-  if (limit == UnionQuery::kNoLimit) return SIZE_MAX;
-  size_t cap = offset + limit;
-  return cap < limit ? SIZE_MAX : cap;  // overflow guard
-}
-
 size_t MaxRowsNeeded(const UnionQuery& q) {
-  return MaxRowsNeeded(q.ask(), q.limit(), q.offset());
-}
-
-void ApplyModifiers(bool ask, size_t limit, size_t offset, ResultSet& result) {
-  if (ask) {
-    bool any = !result.rows.empty();
-    result.var_names.clear();
-    result.rows.clear();
-    if (any) result.rows.push_back({});
-    return;
-  }
-  if (offset > 0) {
-    size_t drop = std::min(offset, result.rows.size());
-    result.rows.erase(result.rows.begin(), result.rows.begin() + drop);
-  }
-  if (limit != UnionQuery::kNoLimit && result.rows.size() > limit) {
-    result.rows.resize(limit);
-  }
+  if (q.ask()) return 1;
+  if (q.limit() == UnionQuery::kNoLimit) return SIZE_MAX;
+  size_t cap = q.offset() + q.limit();
+  return cap < q.limit() ? SIZE_MAX : cap;  // overflow guard
 }
 
 // Detailed per-branch profile children are capped: reformulated unions can
@@ -890,24 +864,36 @@ void ApplyModifiers(bool ask, size_t limit, size_t offset, ResultSet& result) {
 // hides the signal. Branches past the cap fold into one aggregate node.
 constexpr size_t kMaxProfiledBranches = 8;
 
+// What the branch loop hands the join of one branch.
+struct BranchRun {
+  size_t index = 0;
+  // The branch's profile node (null when not profiling). Past
+  // kMaxProfiledBranches it is the shared overflow node, and `aggregate`
+  // asks the join to add scan and triple totals to it, nothing more.
+  obs::ProfileNode* node = nullptr;
+  bool aggregate = false;
+  bool eager = false;                // every answer wanted: no ASK or LIMIT
+  CancelProbe* cancel = nullptr;     // null = no deadline
+  std::vector<Row>* rows = nullptr;  // answers so far, for reserve hints
+};
+
 // Union evaluation: branches in order, one dedup table across all of them,
 // early break once the row budget is met. Every branch projects the same
 // number of variables (UnionQuery's invariant), so one width keys them all.
-template <typename Store>
-ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
-                                  const EvaluatorOptions& options,
-                                  ScanCache* cache,
-                                  const exec::Statistics* plan_stats,
-                                  obs::ProfileNode* profile,
-                                  const rdf::Dictionary* dict) {
+// `join(branch, run, emit)` evaluates one branch, passing each projected
+// row to `emit(Row&)`, which returns false once enumeration may stop.
+template <typename JoinFn>
+ResultSet EvaluateBranches(const UnionQuery& q,
+                           const EvaluatorOptions& options,
+                           obs::ProfileNode* profile, JoinFn&& join) {
   ResultSet result;
   const size_t max_rows = MaxRowsNeeded(q);
   exec::DedupTable seen(q.width());
   CancelProbe probe(options);
   obs::ProfileNode* overflow = nullptr;
   size_t overflow_branches = 0;
-  size_t branch_index = 0;
-  for (const BgpQuery& branch : q.branches()) {
+  for (size_t b = 0; b < q.branches().size(); ++b) {
+    const BgpQuery& branch = q.branches()[b];
     if (result.var_names.empty()) {
       result.var_names = branch.ProjectionNames();
     }
@@ -915,26 +901,54 @@ ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
     if (probe.enabled() && probe.Expired()) break;
     const size_t rows_before = result.rows.size();
     obs::Span branch_span("wdr.query.branch");
-    branch_span.AddAttr("branch", static_cast<uint64_t>(branch_index));
+    branch_span.AddAttr("branch", static_cast<uint64_t>(b));
     if (options.collect != nullptr) ++options.collect->branches;
-    std::vector<AtomStats> stats;
-    obs::ProfileNode* branch_node = nullptr;
+    BranchRun run;
+    run.index = b;
+    run.eager = max_rows == SIZE_MAX;
+    run.cancel = probe.enabled() ? &probe : nullptr;
+    run.rows = &result.rows;
     if (profile != nullptr) {
-      if (branch_index < kMaxProfiledBranches) {
-        branch_node =
-            &profile->AddChild("branch " + std::to_string(branch_index));
+      if (b < kMaxProfiledBranches) {
+        run.node = &profile->AddChild("branch " + std::to_string(b));
       } else {
         if (overflow == nullptr) overflow = &profile->AddChild("");
-        branch_node = overflow;
+        run.node = overflow;
+        run.aggregate = true;
         ++overflow_branches;
       }
     }
     const uint64_t branch_start = NowNanos();
-    Row scratch;
     auto emit = [&](Row& row) {
       if (seen.Insert(row.data())) result.rows.push_back(row);
       return result.rows.size() < max_rows && !probe.Expired();
     };
+    join(branch, run, emit);
+    if (run.node != nullptr) {
+      run.node->rows += result.rows.size() - rows_before;
+      run.node->seconds +=
+          static_cast<double>(NowNanos() - branch_start) * 1e-9;
+    }
+  }
+  if (overflow != nullptr) {
+    overflow->label =
+        "(+" + std::to_string(overflow_branches) + " more branches)";
+  }
+  RecordDuplicates(seen.duplicates(), options);
+  return result;
+}
+
+// A UCQ's branches, each through the plan route or the legacy join.
+template <typename Store>
+ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
+                                  const EvaluatorOptions& options,
+                                  ScanCache* cache,
+                                  const exec::Statistics* plan_stats,
+                                  obs::ProfileNode* profile,
+                                  const rdf::Dictionary* dict) {
+  Row scratch;
+  auto join_branch = [&](const BgpQuery& branch, const BranchRun& run,
+                         auto& emit) {
     if (options.plan) {
       exec::CompiledPlan plan =
           PlanBgpBranch(store, branch, options, plan_stats);
@@ -946,59 +960,45 @@ ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
       // Pre-reserve the result buffer from the planner's estimate instead
       // of growing from empty.
       const size_t hint = ReserveHint(plan.est_rows);
-      if (result.rows.size() + hint > result.rows.capacity()) {
-        result.rows.reserve(result.rows.size() + hint);
+      if (run.rows->size() + hint > run.rows->capacity()) {
+        run.rows->reserve(run.rows->size() + hint);
       }
       // Detailed plan children only for individually-profiled branches;
       // overflow branches aggregate scan/triple totals below.
       obs::ProfileNode scratch_profile;
       obs::ProfileNode* plan_profile =
-          branch_node == nullptr
-              ? nullptr
-              : (branch_node == overflow ? &scratch_profile : branch_node);
-      ExecutePlannedBranch(store, plan, options, cache,
-                           /*eager=*/max_rows == SIZE_MAX, plan_profile,
-                           scratch, emit);
-      if (branch_node == overflow && branch_node != nullptr) {
-        branch_node->scans += scratch_profile.TotalScans();
-        branch_node->triples += scratch_profile.TotalTriples();
+          run.aggregate ? &scratch_profile : run.node;
+      ExecutePlannedBranch(store, plan, options, cache, run.eager,
+                           plan_profile, scratch, emit);
+      if (run.aggregate) {
+        run.node->scans += scratch_profile.TotalScans();
+        run.node->triples += scratch_profile.TotalTriples();
+      }
+      return;
+    }
+    BgpJoin<Store> join(store, branch, options.greedy_join_order);
+    join.set_scan_cache(cache, run.eager);
+    if (run.cancel != nullptr) join.set_cancel(run.cancel);
+    std::vector<AtomStats> stats;
+    if (run.node != nullptr) {
+      stats.resize(branch.atoms().size());
+      join.set_stats(&stats);
+    }
+    join.Run([&](const std::vector<TermId>& bindings) {
+      ProjectRowInto(branch, bindings, scratch);
+      return emit(scratch);
+    });
+    if (run.node == nullptr) return;
+    if (run.aggregate) {
+      for (const AtomStats& as : stats) {
+        run.node->scans += as.scans;
+        run.node->triples += as.triples;
       }
     } else {
-      BgpJoin<Store> join(store, branch, options.greedy_join_order);
-      join.set_scan_cache(cache, /*eager=*/max_rows == SIZE_MAX);
-      if (probe.enabled()) join.set_cancel(&probe);
-      if (profile != nullptr) {
-        stats.resize(branch.atoms().size());
-        join.set_stats(&stats);
-      }
-      join.Run([&](const std::vector<TermId>& bindings) {
-        ProjectRowInto(branch, bindings, scratch);
-        return emit(scratch);
-      });
+      FillAtomProfile(*run.node, branch, dict, stats);
     }
-    if (branch_node != nullptr) {
-      branch_node->rows += result.rows.size() - rows_before;
-      branch_node->seconds +=
-          static_cast<double>(NowNanos() - branch_start) * 1e-9;
-      if (!options.plan) {
-        if (branch_node == overflow) {
-          for (const AtomStats& as : stats) {
-            branch_node->scans += as.scans;
-            branch_node->triples += as.triples;
-          }
-        } else {
-          FillAtomProfile(*branch_node, branch, dict, stats);
-        }
-      }
-    }
-    ++branch_index;
-  }
-  if (overflow != nullptr) {
-    overflow->label =
-        "(+" + std::to_string(overflow_branches) + " more branches)";
-  }
-  RecordDuplicates(seen, options);
-  return result;
+  };
+  return EvaluateBranches(q, options, profile, join_branch);
 }
 
 template <typename Store>
@@ -1052,8 +1052,7 @@ ResultSet EvaluateUnionQuery(const Store& store, const UnionQuery& q,
 // atom position. `rows` counts the distinct bindings passed to the rest of
 // the join.
 struct UnionAtomStats : AtomStats {
-  uint64_t probes = 0;  // existence probes, set lookups included
-  bool materialized = false;
+  uint64_t probes = 0;  // existence probes
 };
 
 // Recursive join over the union atoms of one JoinOfUnions. An atom's
@@ -1072,19 +1071,14 @@ struct UnionAtomStats : AtomStats {
 // binding of its unbound variables on once, so bindings that several
 // alternatives (or several fresh-variable values) share do not repeat the
 // rest of the join.
-//
-// Ski rental on dead atoms keyed on one bound variable: once the scans its
-// probes issued exceed the union's estimated size, the union is enumerated
-// once into a key set (at most kMaxUnionSetKeys keys; a larger union keeps
-// probing) and later probes are lookups. That costs at most about twice
-// the better of the two strategies, with no tuning constant. The sets live
-// in the join, i.e. one evaluation.
 class UnionAtomJoin {
  public:
+  // `written` is the BGP whose atoms `q` joins (projection, presets).
   // `eager`: the evaluation wants every answer (no ASK or LIMIT), so live
   // atoms read each scan whole before joining from it.
-  UnionAtomJoin(const StoreView& store, const JoinOfUnions& q, bool greedy,
-                bool eager, CancelProbe* cancel)
+  UnionAtomJoin(const StoreView& store, const BgpQuery& written,
+                const JoinOfUnions& q, bool greedy, bool eager,
+                CancelProbe* cancel)
       : store_(store),
         q_(q),
         greedy_(greedy),
@@ -1093,11 +1087,11 @@ class UnionAtomJoin {
         bindings_(q.var_count(), kNullTermId),
         projected_(q.var_count(), false),
         uses_(q.var_count(), 0),
-        state_(q.atoms().size()) {
-    for (const auto& [var, value] : q.written().preset()) {
+        union_estimates_(q.atoms().size(), SIZE_MAX) {
+    for (const auto& [var, value] : written.preset()) {
       bindings_[var] = value;
     }
-    for (VarId v : q.written().projection()) projected_[v] = true;
+    for (VarId v : written.projection()) projected_[v] = true;
     for (const UnionAtom& atom : q.atoms()) {
       for (VarId v : atom.vars) ++uses_[v];
     }
@@ -1118,20 +1112,10 @@ class UnionAtomJoin {
   // Enables per-atom stats; `stats` must have one entry per atom.
   void set_stats(std::vector<UnionAtomStats>* stats) { stats_ = stats; }
 
-  uint64_t materializations() const { return materializations_; }
   // Bindings live atoms dropped as already passed on.
   uint64_t duplicates() const { return duplicates_; }
 
  private:
-  enum class SetState : uint8_t { kProbing, kMaterialized, kTooLarge };
-  struct AtomState {
-    size_t union_estimate = SIZE_MAX;  // SIZE_MAX = not computed yet
-    uint64_t tried = 0;  // scans issued by existence probes
-    SetState set_state = SetState::kProbing;
-    VarId key = 0;  // the set's key variable
-    std::optional<exec::DedupTable> keys;
-  };
-
   template <typename EmitFn>
   void Recurse(EmitFn&& emit) {
     if (stopped_) return;
@@ -1243,11 +1227,9 @@ class UnionAtomJoin {
   // The union's estimated size before any join binding: once per atom and
   // evaluation.
   size_t UnionEstimate(size_t index) {
-    AtomState& st = state_[index];
-    if (st.union_estimate == SIZE_MAX) {
-      st.union_estimate = Estimate(index, initial_);
-    }
-    return st.union_estimate;
+    size_t& estimate = union_estimates_[index];
+    if (estimate == SIZE_MAX) estimate = Estimate(index, initial_);
+    return estimate;
   }
 
   // Enumerates the alternatives of `scan` consistent with the current
@@ -1392,72 +1374,18 @@ class UnionAtomJoin {
   // A dead atom: continue once if any alternative matches.
   template <typename EmitFn>
   void Probe(size_t index, UnionAtomStats* as, EmitFn&& emit) {
-    const UnionAtom& atom = q_.atoms()[index];
-    AtomState& st = state_[index];
-    size_t bound = 0;
-    VarId key = 0;
-    for (VarId v : atom.vars) {
-      if (bindings_[v] != kNullTermId) {
-        ++bound;
-        key = v;
-      }
-    }
     if (as != nullptr) ++as->probes;
-    bool found;
-    if (bound == 1 && st.set_state == SetState::kMaterialized &&
-        st.key == key) {
-      found = st.keys->Contains(&bindings_[key]);
-    } else {
-      found = AnyMatch(index, as);
-      if (bound == 1 && st.set_state == SetState::kProbing &&
-          st.tried > UnionEstimate(index)) {
-        Materialize(index, key, as);
-      }
-    }
-    if (stopped_ || !found) return;
-    if (as != nullptr) ++as->rows;
-    Recurse(emit);
-  }
-
-  bool AnyMatch(size_t index, UnionAtomStats* as) {
-    AtomState& st = state_[index];
     bool found = false;
     for (const AtomScan& scan : q_.atoms()[index].scans) {
-      ++st.tried;
       ForEachMatch(scan, as, [&] {
         found = true;
         return false;
       });
       if (found || stopped_) break;
     }
-    return found;
-  }
-
-  // Enumerates atom `index`'s union once into the set of values its
-  // variable `key` takes, with the atom's other variables free (the only
-  // shape the set answers for). Gives up past kMaxUnionSetKeys keys.
-  void Materialize(size_t index, VarId key, UnionAtomStats* as) {
-    AtomState& st = state_[index];
-    st.set_state = SetState::kTooLarge;
-    exec::DedupTable keys(1);
-    const TermId saved = bindings_[key];
-    bindings_[key] = kNullTermId;
-    bool too_large = false;
-    for (const AtomScan& scan : q_.atoms()[index].scans) {
-      ForEachMatch(scan, as, [&] {
-        keys.Insert(&bindings_[key]);
-        too_large = keys.size() > kMaxUnionSetKeys;
-        return !too_large;
-      });
-      if (too_large || stopped_) break;
-    }
-    bindings_[key] = saved;
-    if (too_large || stopped_) return;
-    st.keys.emplace(std::move(keys));
-    st.key = key;
-    st.set_state = SetState::kMaterialized;
-    ++materializations_;
-    if (as != nullptr) as->materialized = true;
+    if (stopped_ || !found) return;
+    if (as != nullptr) ++as->rows;
+    Recurse(emit);
   }
 
   const StoreView& store_;
@@ -1471,9 +1399,8 @@ class UnionAtomJoin {
   std::vector<bool> projected_;
   std::vector<uint32_t> uses_;  // remaining atoms using each variable
   std::vector<size_t> remaining_;
-  std::vector<AtomState> state_;
+  std::vector<size_t> union_estimates_;  // SIZE_MAX = not computed yet
   std::vector<UnionAtomStats>* stats_ = nullptr;  // not owned; null = off
-  uint64_t materializations_ = 0;
   uint64_t duplicates_ = 0;
   std::vector<std::vector<Triple>> buffers_;  // per-depth scan copies
 };
@@ -1488,68 +1415,51 @@ std::string UnionAtomLabel(const BgpQuery& q, const rdf::Dictionary* dict,
   if (stats.probes > 0) {
     label += ", " + std::to_string(stats.probes) + " probes";
   }
-  if (stats.materialized) label += ", materialized";
   return label + "]";
 }
 
-// Branches in order, one dedup table across all of them, early break once
-// the row budget is met: EvaluateUnionSequential's contract, with each
-// branch a join of unions.
-ResultSet EvaluateJucq(const StoreView& store, const JucqQuery& q,
+// The branches of `q` in EvaluateBranches' loop, branch b evaluated as the
+// join of unions joins[b].
+ResultSet EvaluateJucq(const StoreView& store, const UnionQuery& q,
+                       const std::vector<JoinOfUnions>& joins,
                        const EvaluatorOptions& options,
                        obs::ProfileNode* profile) {
   WDR_COUNTER_INC("wdr.query.union_evals");
-  ResultSet result;
-  const size_t max_rows = MaxRowsNeeded(q.ask, q.limit, q.offset);
-  exec::DedupTable seen(q.width());
-  CancelProbe probe(options);
   const uint64_t start = NowNanos();
-  uint64_t materializations = 0;
   uint64_t atom_duplicates = 0;
   Row scratch;
-  for (size_t b = 0; b < q.branches.size(); ++b) {
-    const JoinOfUnions& branch = q.branches[b];
-    if (result.var_names.empty()) {
-      result.var_names = branch.written().ProjectionNames();
-    }
-    if (result.rows.size() >= max_rows) break;
-    if (probe.enabled() && probe.Expired()) break;
-    const size_t rows_before = result.rows.size();
-    obs::Span branch_span("wdr.query.branch");
-    branch_span.AddAttr("branch", static_cast<uint64_t>(b));
-    if (options.collect != nullptr) ++options.collect->branches;
-    const uint64_t branch_start = NowNanos();
+  auto join_branch = [&](const BgpQuery& branch, const BranchRun& run,
+                         auto& emit) {
+    const JoinOfUnions& unions = joins[run.index];
+    UnionAtomJoin join(store, branch, unions, options.greedy_join_order,
+                       run.eager, run.cancel);
     std::vector<UnionAtomStats> stats;
-    UnionAtomJoin join(store, branch, options.greedy_join_order,
-                       /*eager=*/max_rows == SIZE_MAX,
-                       probe.enabled() ? &probe : nullptr);
-    if (profile != nullptr) {
-      stats.resize(branch.atoms().size());
+    if (run.node != nullptr) {
+      stats.resize(unions.atoms().size());
       join.set_stats(&stats);
     }
     join.Run([&](const std::vector<TermId>& bindings) {
-      ProjectRowInto(branch.written(), bindings, scratch);
-      if (seen.Insert(scratch.data())) result.rows.push_back(scratch);
-      return result.rows.size() < max_rows && !probe.Expired();
+      ProjectRowInto(branch, bindings, scratch);
+      return emit(scratch);
     });
-    materializations += join.materializations();
     atom_duplicates += join.duplicates();
-    if (profile != nullptr) {
-      obs::ProfileNode& node = profile->AddChild("branch " + std::to_string(b));
-      node.rows = result.rows.size() - rows_before;
-      node.seconds = static_cast<double>(NowNanos() - branch_start) * 1e-9;
-      for (size_t i = 0; i < stats.size(); ++i) {
-        obs::ProfileNode& child = node.AddChild(UnionAtomLabel(
-            branch.written(), options.dict, branch.atoms()[i], stats[i]));
-        child.rows = stats[i].rows;
-        child.triples = stats[i].triples;
-        child.scans = stats[i].scans;
-        child.seconds = static_cast<double>(stats[i].nanos) * 1e-9;
+    if (run.node == nullptr) return;
+    for (size_t i = 0; i < stats.size(); ++i) {
+      if (run.aggregate) {
+        run.node->scans += stats[i].scans;
+        run.node->triples += stats[i].triples;
+        continue;
       }
+      obs::ProfileNode& child = run.node->AddChild(
+          UnionAtomLabel(branch, options.dict, unions.atoms()[i], stats[i]));
+      child.rows = stats[i].rows;
+      child.triples = stats[i].triples;
+      child.scans = stats[i].scans;
+      child.seconds = static_cast<double>(stats[i].nanos) * 1e-9;
     }
-  }
-  WDR_COUNTER_ADD("wdr.query.union_atom.materializations", materializations);
-  RecordDuplicates(seen.duplicates() + atom_duplicates, options);
+  };
+  ResultSet result = EvaluateBranches(q, options, profile, join_branch);
+  if (atom_duplicates > 0) RecordDuplicates(atom_duplicates, options);
   if (profile != nullptr) {
     profile->rows += result.rows.size();
     profile->seconds += static_cast<double>(NowNanos() - start) * 1e-9;
@@ -1560,11 +1470,20 @@ ResultSet EvaluateJucq(const StoreView& store, const JucqQuery& q,
 }  // namespace
 
 void ApplySolutionModifiers(const UnionQuery& q, ResultSet& result) {
-  ApplyModifiers(q.ask(), q.limit(), q.offset(), result);
-}
-
-void ApplySolutionModifiers(const JucqQuery& q, ResultSet& result) {
-  ApplyModifiers(q.ask, q.limit, q.offset, result);
+  if (q.ask()) {
+    bool any = !result.rows.empty();
+    result.var_names.clear();
+    result.rows.clear();
+    if (any) result.rows.push_back({});
+    return;
+  }
+  if (q.offset() > 0) {
+    size_t drop = std::min(q.offset(), result.rows.size());
+    result.rows.erase(result.rows.begin(), result.rows.begin() + drop);
+  }
+  if (q.limit() != UnionQuery::kNoLimit && result.rows.size() > q.limit()) {
+    result.rows.resize(q.limit());
+  }
 }
 
 void ResultSet::Normalize(bool dedup) {
@@ -1588,9 +1507,10 @@ ResultSet Evaluator::Evaluate(const UnionQuery& q,
   return result;
 }
 
-ResultSet Evaluator::Evaluate(const JucqQuery& q,
+ResultSet Evaluator::Evaluate(const UnionQuery& q,
+                              const std::vector<JoinOfUnions>& joins,
                               obs::ProfileNode* profile) const {
-  ResultSet result = EvaluateJucq(*store_, q, options_, profile);
+  ResultSet result = EvaluateJucq(*store_, q, joins, options_, profile);
   ApplySolutionModifiers(q, result);
   WDR_COUNTER_ADD("wdr.query.rows", result.rows.size());
   return result;
@@ -1662,7 +1582,7 @@ size_t Evaluator::CountAnswers(const BgpQuery& q) const {
       seen.Insert(scratch.data());
     });
     count = seen.size();
-    RecordDuplicates(seen, options_);
+    RecordDuplicates(seen.duplicates(), options_);
   } else {
     // Non-distinct counting needs no projection at all.
     join.Run([&](const std::vector<TermId>&) { ++count; });

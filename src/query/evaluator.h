@@ -40,12 +40,6 @@ struct ResultSet {
 // truncates. Shared by every evaluation route so the routes stay
 // answer-equivalent.
 void ApplySolutionModifiers(const UnionQuery& q, ResultSet& result);
-void ApplySolutionModifiers(const JucqQuery& q, ResultSet& result);
-
-// Most keys one union atom's materialized probe set may hold in a JUCQ
-// evaluation (see Evaluator::Evaluate(const JucqQuery&)); a union with
-// more keeps answering probes from the store.
-inline constexpr size_t kMaxUnionSetKeys = size_t{1} << 16;
 
 // Per-evaluation measurements for the structured query log, filled when
 // EvaluatorOptions::collect points at an instance. Everything here is
@@ -62,8 +56,8 @@ struct EvalStats {
   uint64_t scan_cache_misses = 0;
   // Rows the evaluation's dedup tables dropped as already answered (union
   // overlap and DISTINCT; on a JUCQ also the bindings a union atom's
-  // alternatives share); 0 when no table ran. Also counted, once per
-  // evaluation, in wdr.query.duplicate_rows.
+  // alternatives share); 0 when no table ran. Also counted in
+  // wdr.query.duplicate_rows, never one add per row.
   uint64_t duplicate_rows = 0;
 };
 
@@ -153,13 +147,14 @@ class Evaluator {
   ResultSet Evaluate(const UnionQuery& q,
                      obs::ProfileNode* profile = nullptr) const;
 
-  // A JUCQ: each branch a join of per-atom unions (see JoinOfUnions), on
-  // the legacy join whatever `plan` says. Answers are always de-duplicated,
-  // as a UCQ's are. A profile gets one node per branch and, under it, one
-  // per union atom: alternatives, existence probes, and whether the union
-  // was materialized into a key set; each materialization also counts in
-  // wdr.query.union_atom.materializations.
-  ResultSet Evaluate(const JucqQuery& q,
+  // A JUCQ: the branches of `q` (projection and modifiers as in a UCQ),
+  // branch b evaluated as the join of per-atom unions joins[b], on the
+  // legacy join whatever `plan` says; `joins` holds one entry per branch.
+  // Answers are always de-duplicated, as a UCQ's are. A profile gets one
+  // node per branch and, under it, one per union atom with its
+  // alternatives and existence probes.
+  ResultSet Evaluate(const UnionQuery& q,
+                     const std::vector<JoinOfUnions>& joins,
                      obs::ProfileNode* profile = nullptr) const;
 
   // Number of rows without materializing a ResultSet: counts stream

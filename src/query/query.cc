@@ -124,9 +124,10 @@ BgpQuery AtomQuery(const BgpQuery& q, size_t index) {
   return out;
 }
 
-bool JoinOfUnions::AddAtom(const UnionQuery& rewriting) {
+bool JoinOfUnions::AddAtom(const TriplePattern& atom,
+                           const UnionQuery& rewriting) {
   UnionAtom unioned;
-  unioned.written = written_.atoms()[atoms_.size()];
+  unioned.written = atom;
   unioned.vars = AtomVars(unioned.written);
   const size_t k = unioned.vars.size();
   size_t slots = var_count_;

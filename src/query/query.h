@@ -136,7 +136,6 @@ class UnionQuery {
   void AddBranch(BgpQuery q) { branches_.push_back(std::move(q)); }
 
   const std::vector<BgpQuery>& branches() const { return branches_; }
-  std::vector<BgpQuery>& mutable_branches() { return branches_; }
   size_t size() const { return branches_.size(); }
 
   // Values per answer row: the projection width every branch shares (0
@@ -210,44 +209,30 @@ struct UnionAtom {
 // answers on G∞, and a single-atom reformulation with every variable
 // projected is complete for that atom, so both forms answer alike; the
 // join evaluates each atom's union once instead of once per combination.
+// It holds only the unions: the written BGP (projection, presets) travels
+// alongside, as the branch of the UnionQuery it came from.
 class JoinOfUnions {
  public:
-  explicit JoinOfUnions(BgpQuery written)
-      : written_(std::move(written)), var_count_(written_.var_count()) {}
+  // Over the variable space of `written`, the BGP whose atoms it joins.
+  explicit JoinOfUnions(const BgpQuery& written)
+      : var_count_(written.var_count()) {}
 
-  // Appends the union of written atom atoms().size() (the next one, in
-  // order): `rewriting` is Reformulate(AtomQuery(written(), index)).
-  // Rewriting variables map onto the written query's by position; fresh
-  // ones get slots past var_count() of the written query. False, adding
-  // nothing, when an alternative leaves one of the atom's variables unbound:
-  // the join could not keep the atom's answers then.
-  bool AddAtom(const UnionQuery& rewriting);
+  // Appends the union of `atom`, the written BGP's atom atoms().size()
+  // (the next one, in order): `rewriting` is
+  // Reformulate(AtomQuery(written, index)). Rewriting variables map onto
+  // the written query's by position; fresh ones get slots past var_count()
+  // of the written query. False, adding nothing, when an alternative leaves
+  // one of the atom's variables unbound: the join could not keep the
+  // atom's answers then.
+  bool AddAtom(const TriplePattern& atom, const UnionQuery& rewriting);
 
-  const BgpQuery& written() const { return written_; }
   // Variable slots: the written query's, then the fresh ones.
   size_t var_count() const { return var_count_; }
   const std::vector<UnionAtom>& atoms() const { return atoms_; }
 
  private:
-  BgpQuery written_;
   size_t var_count_;
   std::vector<UnionAtom> atoms_;
-};
-
-// A union of BGPs (the branches of a user-written UNION), each evaluated as
-// a JoinOfUnions, with the query-level modifiers of the UnionQuery it came
-// from.
-struct JucqQuery {
-  std::vector<JoinOfUnions> branches;
-  bool ask = false;
-  size_t limit = UnionQuery::kNoLimit;
-  size_t offset = 0;
-
-  // Values per answer row (0 without branches).
-  size_t width() const {
-    return branches.empty() ? 0
-                            : branches.front().written().projection().size();
-  }
 };
 
 }  // namespace wdr::query

@@ -356,7 +356,19 @@ FanoutEstimate Reformulator::EstimateFanout(const BgpQuery& q) const {
     return n;
   };
 
-  for (const TriplePattern& atom : q.atoms()) {
+  bool memoized = true;
+  for (size_t i = 0; i < q.atoms().size(); ++i) {
+    // The join-of-unions route memoizes each atom's rewriting on its own.
+    if (auto it = memo_.find(MemoKey(query::AtomQuery(q, i)));
+        it != memo_.end()) {
+      est.branches =
+          SatMul(est.branches, it->second.second.conjunctive_queries);
+      est.range_collapses =
+          SatAdd(est.range_collapses, it->second.second.range_collapses);
+      continue;
+    }
+    memoized = false;
+    const TriplePattern& atom = q.atoms()[i];
     if (atom.s.is_range() || atom.p.is_range() || atom.o.is_range()) continue;
     size_t n = 1;
     if (atom.p.is_const() && atom.p.id == vocab_.type) {
@@ -383,6 +395,7 @@ FanoutEstimate Reformulator::EstimateFanout(const BgpQuery& q) const {
     }
     est.branches = SatMul(est.branches, n);
   }
+  est.exact = memoized && !q.atoms().empty();
   return est;
 }
 
@@ -425,13 +438,9 @@ Result<UnionQuery> Reformulator::Reformulate(const UnionQuery& q,
   return result;
 }
 
-Result<query::JucqQuery> Reformulator::ReformulateAtoms(
-    const UnionQuery& q, UnionQuery* alternatives,
-    ReformulationStats* stats) const {
-  query::JucqQuery jucq;
-  jucq.ask = q.ask();
-  jucq.limit = q.limit();
-  jucq.offset = q.offset();
+Result<std::vector<query::JoinOfUnions>> Reformulator::ReformulateAtoms(
+    const UnionQuery& q, ReformulationStats* stats) const {
+  std::vector<query::JoinOfUnions> joins;
   ReformulationStats total;
   for (const BgpQuery& branch : q.branches()) {
     query::JoinOfUnions join(branch);
@@ -439,7 +448,7 @@ Result<query::JucqQuery> Reformulator::ReformulateAtoms(
       ReformulationStats atom;
       WDR_ASSIGN_OR_RETURN(UnionQuery rewriting,
                            Reformulate(query::AtomQuery(branch, i), &atom));
-      if (!join.AddAtom(rewriting)) {
+      if (!join.AddAtom(branch.atoms()[i], rewriting)) {
         return InternalError("a rewriting of atom " + std::to_string(i) +
                              " leaves one of its variables unbound");
       }
@@ -448,16 +457,11 @@ Result<query::JucqQuery> Reformulator::ReformulateAtoms(
       total.rewrite_steps += atom.rewrite_steps;
       total.pruned_cqs += atom.pruned_cqs;
       total.range_collapses += atom.range_collapses;
-      if (alternatives != nullptr) {
-        for (BgpQuery& cq : rewriting.mutable_branches()) {
-          alternatives->AddBranch(std::move(cq));
-        }
-      }
     }
-    jucq.branches.push_back(std::move(join));
+    joins.push_back(std::move(join));
   }
   if (stats != nullptr) *stats = total;
-  return jucq;
+  return joins;
 }
 
 size_t CloseSchema(rdf::Graph& graph, const schema::Vocabulary& vocab) {

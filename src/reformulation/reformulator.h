@@ -5,6 +5,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "query/query.h"
@@ -46,8 +47,9 @@ struct FanoutEstimate {
   // Interval collapses the hierarchy encoding would apply (enumerations
   // replaced by one range atom); already reflected in `branches`.
   size_t range_collapses = 0;
-  // True when the estimate was read off a memoized rewriting and is the
-  // exact post-dedup size.
+  // True when the estimate was read off memoized rewritings: the whole
+  // query's exact post-dedup size, or the exact product of its atoms'
+  // rewriting-set sizes when each atom was rewritten on its own.
   bool exact = false;
 };
 
@@ -116,19 +118,18 @@ class Reformulator {
                                         ReformulationStats* stats = nullptr) const;
 
   // Reformulates each atom of each branch on its own (the memo keys on the
-  // atom's shape, see query::AtomQuery) into a join of per-atom unions.
-  // `alternatives`, when non-null, receives the atoms' rewritings back to
-  // back, and `stats` sums the per-atom ones (conjunctive_queries is then
-  // the number of rewritings). Internal error when a rewriting leaves one
-  // of its atom's variables unbound (query::JoinOfUnions::AddAtom): no
-  // rewriting rule does.
-  Result<query::JucqQuery> ReformulateAtoms(
-      const query::UnionQuery& q, query::UnionQuery* alternatives = nullptr,
-      ReformulationStats* stats = nullptr) const;
+  // atom's shape, see query::AtomQuery) into a join of per-atom unions, one
+  // per branch of `q`, in order. `stats` sums the per-atom ones
+  // (conjunctive_queries is then the number of rewritings). Internal error
+  // when a rewriting leaves one of its atom's variables unbound
+  // (query::JoinOfUnions::AddAtom): no rewriting rule does.
+  Result<std::vector<query::JoinOfUnions>> ReformulateAtoms(
+      const query::UnionQuery& q, ReformulationStats* stats = nullptr) const;
 
   // Estimates the fan-out Reformulate(q) would produce, without expanding:
-  // exact (from the memo) when this query was already rewritten under the
-  // current schema version, an O(closure) upper bound otherwise.
+  // exact (from the memo) when this query, or each of its atoms on its own
+  // (the join-of-unions route's memo entries), was already rewritten under
+  // the current schema version; an O(closure) upper bound otherwise.
   FanoutEstimate EstimateFanout(const query::BgpQuery& q) const;
   // Sum over branches; exact iff every branch hit the memo.
   FanoutEstimate EstimateFanout(const query::UnionQuery& q) const;

@@ -676,9 +676,9 @@ Result<PreparedQuery> ReasoningStore::PrepareInternal(
         WDR_ASSIGN_OR_RETURN(prepared.query,
                              reformulator.Reformulate(q, &ref_stats));
       } else {
-        WDR_ASSIGN_OR_RETURN(
-            prepared.jucq,
-            reformulator.ReformulateAtoms(q, &prepared.query, &ref_stats));
+        WDR_ASSIGN_OR_RETURN(prepared.joins,
+                             reformulator.ReformulateAtoms(q, &ref_stats));
+        prepared.query = std::move(q);
       }
       return Status::Ok();
     }();
@@ -686,7 +686,8 @@ Result<PreparedQuery> ReasoningStore::PrepareInternal(
     obs::MetricsRegistry::Get()
         .GetHistogram("wdr.store.reformulation.rewrite")
         .RecordSeconds(rewrite_seconds);
-    prepared.union_size = prepared.query.size();
+    // The UCQ's branches, or the alternatives summed over union atoms.
+    prepared.union_size = ref_stats.conjunctive_queries;
     prepared.reformulation = ref_stats;
     prepared.rewrite_seconds = rewrite_seconds;
   } else {
@@ -740,7 +741,7 @@ Result<query::ResultSet> ReasoningStore::ExecuteInternal(
       case ReasoningMode::kReformulation: {
         if (profile != nullptr) {
           const std::string shape =
-              prepared.jucq.has_value()
+              !prepared.joins.empty()
                   ? std::to_string(prepared.union_size) +
                         " alternatives in a join of unions"
                   : std::to_string(prepared.union_size) + " CQs";
@@ -752,8 +753,8 @@ Result<query::ResultSet> ReasoningStore::ExecuteInternal(
           rewrite.seconds = prepared.rewrite_seconds;
         }
         query::Evaluator evaluator(queried, eval_options);
-        if (prepared.jucq.has_value()) {
-          return evaluator.Evaluate(*prepared.jucq, profile);
+        if (!prepared.joins.empty()) {
+          return evaluator.Evaluate(prepared.query, prepared.joins, profile);
         }
         return evaluator.Evaluate(prepared.query, profile);
       }

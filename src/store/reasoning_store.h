@@ -141,15 +141,13 @@ struct ReadOptions {
 // long as the store is not updated in between.
 struct PreparedQuery {
   ReasoningMode mode = ReasoningMode::kNone;
-  // The parsed query; in kReformulation mode its reformulation. With plan
-  // mode on that is the whole-query UCQ, which Execute evaluates. On the
-  // legacy join it is every atom's rewriting back to back, one single-atom
-  // CQ per alternative of `jucq`'s union atoms: what they scan, not a query
-  // to evaluate on its own.
+  // The parsed query; in kReformulation mode with plan mode on, its
+  // whole-query UCQ reformulation.
   query::UnionQuery query;
-  // kReformulation on the legacy join: the query as a join of per-atom
-  // unions, which Execute evaluates instead of `query`.
-  std::optional<query::JucqQuery> jucq;
+  // kReformulation on the legacy join: one join of per-atom unions per
+  // branch of `query`, which Execute evaluates in place of the branches'
+  // BGPs. Empty on every other route.
+  std::vector<query::JoinOfUnions> joins;
   // Fully resolved evaluator knobs (dict, cached statistics, cancellation).
   query::EvaluatorOptions eval;
   // Schema snapshot for kBackward (null in other modes). Borrowed from the
@@ -164,7 +162,7 @@ struct PreparedQuery {
   bool via_auto = false;
   double est_seconds = -1;  // selector's estimate for the routed mode
   // Rewrite diagnostics captured at prepare time (kReformulation).
-  // union_size counts the evaluated disjuncts: `query`'s branches, i.e. the
+  // union_size counts the evaluated disjuncts: the UCQ's branches, or the
   // alternatives summed over union atoms on the JUCQ route.
   size_t union_size = 1;
   reformulation::ReformulationStats reformulation;

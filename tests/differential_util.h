@@ -634,9 +634,10 @@ inline ::testing::AssertionResult RunJucqDifferentialInstance(
     if (!agrees(e, Rows(rg.graph, via_ucq), via_ucq.rows.size())) {
       return fail(label + ": the whole-query UCQ differs from saturation");
     }
-    Result<query::JucqQuery> jucq = reformulator.ReformulateAtoms(*q);
-    if (!jucq.ok()) return fail(label + ": " + jucq.status().ToString());
-    const query::ResultSet via_jucq = base_eval.Evaluate(*jucq);
+    Result<std::vector<query::JoinOfUnions>> joins =
+        reformulator.ReformulateAtoms(*q);
+    if (!joins.ok()) return fail(label + ": " + joins.status().ToString());
+    const query::ResultSet via_jucq = base_eval.Evaluate(*q, *joins);
     if (!agrees(e, Rows(rg.graph, via_jucq), via_jucq.rows.size())) {
       return fail(label + ": the join of unions differs from saturation");
     }
@@ -673,7 +674,7 @@ inline ::testing::AssertionResult RunJucqDifferentialInstance(
         return fail(label + ": Prepare failed: " +
                     prepared.status().ToString());
       }
-      if (route == 0 && !prepared->jucq.has_value()) {
+      if (route == 0 && prepared->joins.empty()) {
         return fail(label + ": the legacy join did not get a JUCQ");
       }
       Result<query::ResultSet> result = store.Execute(*prepared);

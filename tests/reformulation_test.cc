@@ -358,6 +358,32 @@ TEST_F(ReformulationTest, MemoKeysOnProjectionNamesNotJustShape) {
             std::vector<std::string>{"who"});
 }
 
+// Once a query was rewritten atom by atom (the join-of-unions route), its
+// fan-out estimate reads each atom's memoized rewriting: exact, the product
+// of the atoms' rewriting-set sizes, instead of the closure-walk bound.
+TEST_F(ReformulationTest, FanoutIsExactFromAtomMemo) {
+  Add(g_, "Cat", schema::iri::kSubClassOf, "Mammal");
+  Add(g_, "Dog", schema::iri::kSubClassOf, "Mammal");
+  Add(g_, "Tom", schema::iri::kType, "Cat");
+  CloseSchema(g_, v_);
+  Schema schema = Schema::FromGraph(g_, v_);
+  Reformulator reformulator(schema, v_);
+  UnionQuery q = MustParse(
+      std::string(kPrefixes) +
+      "SELECT ?x ?y WHERE { ?x rdf:type t:Mammal . ?y rdf:type t:Cat }");
+  EXPECT_FALSE(reformulator.EstimateFanout(q).exact);
+
+  auto joins = reformulator.ReformulateAtoms(q);
+  ASSERT_TRUE(joins.ok()) << joins.status();
+  ASSERT_EQ(joins->size(), 1u);
+  ASSERT_EQ((*joins)[0].atoms().size(), 2u);
+  EXPECT_EQ((*joins)[0].atoms()[0].alternatives(), 3u);  // Mammal, Cat, Dog
+  EXPECT_EQ((*joins)[0].atoms()[1].alternatives(), 1u);  // Cat
+  const FanoutEstimate estimate = reformulator.EstimateFanout(q);
+  EXPECT_TRUE(estimate.exact);
+  EXPECT_EQ(estimate.branches, 3u);
+}
+
 // The defining property (invariant 1 of DESIGN.md): q_ref(G) = q(G∞) on
 // random schema-closed graphs and random queries.
 TEST(ReformulationPropertyTest, ReformulationEqualsSaturation) {

@@ -544,12 +544,11 @@ TEST(JoinOfUnionsTest, LegacyJoinPreparesOneUnionPerAtom) {
       "SELECT ?x ?y WHERE { ?x rdf:type ex:Person . ?y rdf:type ex:Person }";
   auto prepared = store.Prepare(query);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  ASSERT_TRUE(prepared->jucq.has_value());
-  ASSERT_EQ(prepared->jucq->branches.size(), 1u);
+  ASSERT_EQ(prepared->joins.size(), 1u);
   // Person, Student, Professor, and (?x teaches _) per atom: 4 + 4, where
   // the UCQ has 4 x 4 combinations.
   EXPECT_EQ(prepared->union_size, 8u);
-  EXPECT_EQ(prepared->query.size(), 8u);
+  EXPECT_EQ(prepared->query.size(), 1u);  // the query as written
   QueryInfo info;
   auto result = store.Execute(*prepared, &info);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -561,7 +560,7 @@ TEST(JoinOfUnionsTest, LegacyJoinPreparesOneUnionPerAtom) {
   plan.plan = true;
   auto planned = store.Prepare(query, plan);
   ASSERT_TRUE(planned.ok());
-  EXPECT_FALSE(planned->jucq.has_value());
+  EXPECT_TRUE(planned->joins.empty());
   EXPECT_EQ(planned->union_size, 16u);
   auto planned_result = store.Execute(*planned);
   ASSERT_TRUE(planned_result.ok());
@@ -587,46 +586,12 @@ TEST(JoinOfUnionsTest, CrossProductHonoursDeadline) {
       "SELECT ?x ?y WHERE { ?x rdf:type ex:Person . ?y rdf:type ex:Person }",
       read);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  ASSERT_TRUE(prepared->jucq.has_value());
+  ASSERT_EQ(prepared->joins.size(), 1u);
   auto result = store.Execute(*prepared);
   const uint64_t elapsed = SteadyNowNanos() - start;
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(elapsed, 2 * kTimeoutNanos);
-}
-
-// A dead atom keyed on one variable materializes its union into a key set
-// once its probes outgrow the union's estimate, unless the union has more
-// than query::kMaxUnionSetKeys keys: then it keeps probing the store.
-TEST(JoinOfUnionsTest, MaterializedSetStaysWithinItsCap) {
-  for (const size_t keys : {size_t{200}, query::kMaxUnionSetKeys + 1000}) {
-    std::string nt;
-    for (size_t i = 0; i < keys; ++i) {
-      const std::string who = "<http://ex.org/i" + std::to_string(i) + ">";
-      nt += who + " <http://ex.org/p> <http://ex.org/o> .\n" + who +
-            " <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
-            "<http://ex.org/C> .\n";
-    }
-    ReasoningStoreOptions options;
-    options.mode = ReasoningMode::kReformulation;
-    options.backend = rdf::StorageBackend::kOrdered;
-    options.encoding = false;
-    ReasoningStore store(options);
-    store.SetPlanMode(false);
-    ASSERT_TRUE(store.LoadNTriples(nt).ok());
-    const obs::MetricsSnapshot before = obs::MetricsRegistry::Get().Snapshot();
-    auto result = store.Query(
-        "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
-        "PREFIX ex: <http://ex.org/>\n"
-        "SELECT ?x WHERE { ?x ex:p ex:o . ?x rdf:type ex:C }");
-    const obs::MetricsSnapshot after = obs::MetricsRegistry::Get().Snapshot();
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->rows.size(), keys);
-    const char* name = "wdr.query.union_atom.materializations";
-    EXPECT_EQ(after.counter(name) - before.counter(name),
-              keys <= query::kMaxUnionSetKeys ? 1u : 0u)
-        << keys << " keys";
-  }
 }
 
 }  // namespace
